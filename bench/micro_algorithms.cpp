@@ -49,6 +49,23 @@ void BM_SeparableDpValue(benchmark::State& state) {
 }
 BENCHMARK(BM_SeparableDpValue)->Arg(200)->Arg(500)->Arg(1000);
 
+// Exact re-planning at campaign scale: the dp planner's plan() at
+// N = 10^4 for the bot counts that bracket its pruning — M = 1 (concave,
+// flat-topped candidates, the least pruned), M = 3, and M = 1000 (the
+// candidate peak is sharp, the most pruned).
+void BM_SeparableDpPlan(benchmark::State& state) {
+  const core::ShuffleProblem problem{state.range(0), state.range(2),
+                                     state.range(1)};
+  core::SeparableDpPlanner planner;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(planner.plan(problem));
+  }
+}
+BENCHMARK(BM_SeparableDpPlan)
+    ->ArgNames({"N", "P", "M"})
+    ->ArgsProduct({{10000}, {10, 20}, {1, 3, 1000}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_AlgorithmOneValue(benchmark::State& state) {
   // Second arg: thread count (1 = serial sweep, 0 = shared pool/hardware).
   // Third arg: 1 = record into an obs::Registry (the instrumented-overhead

@@ -209,8 +209,8 @@ void CoordinationServer::autoscale_up() {
   // delay entirely: Theorem 1 gives the replica count that keeps the bot
   // estimate identifiable at the observed attack intensity (the
   // controller's current M-hat), and that is exactly what the round will
-  // consume.  The overall fleet (active + spares + boots in flight) stays
-  // capped at max_autoscale_replicas.
+  // consume.  Autoscaling stops once active + spares + boots in flight
+  // reach max_autoscale_replicas; shuffle rounds are not bound by it.
   const auto headroom =
       static_cast<std::int64_t>(config_.qos.max_autoscale_replicas) -
       static_cast<std::int64_t>(active_replicas_.size());

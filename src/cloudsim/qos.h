@@ -89,8 +89,10 @@ struct QosConfig {
   /// delay: the Theorem-1 provisioner sizes the warm-spare pool from the
   /// controller's current bot estimate (what the next round will consume).
   bool autoscale = true;
-  /// Hard cap on the whole fleet (active + spares + boots in flight): the
-  /// autoscaler never grows past it.
+  /// Cap on autoscaling only: autoscale_up() provisions warm spares only
+  /// while active + spares + its boots in flight stay below it.  It is not a
+  /// fleet cap — shuffle rounds provision their fresh replicas regardless,
+  /// so the active fleet can grow past it.
   std::int32_t max_autoscale_replicas = 16;
   /// Spares kept warm after recovery; the surplus is released (recycled).
   std::int32_t reserve_spares = 0;

@@ -5,12 +5,27 @@
 // so the optimum is a classic resource-allocation dynamic program:
 //   D(p, n) = max_{0<=x<=n} g(x) + D(p-1, n-x),  D(0, n) = 0 iff n == 0.
 //
-// This runs in O(P * N^2) time and O(P * N) space — seconds for the paper's
-// full Figure-3 grid (N = 1000, P = 200) where Algorithm 1 needed tens of
-// hours — and its value provably upper-bounds every planner that emits a
-// fixed plan (greedy, even, Algorithm 1's extracted plan).  Tests verify it
-// matches Algorithm 1's value on every small instance, which justifies using
-// it as the "Dynamic Programming" series at full paper scale.
+// The worst case is O(P * N^2) time and O(P * N) space, but each cell's max
+// is found by an exact two-level block-bound search instead of a full scan:
+// block maxima of g and of D(p-1, .) at 16 and 256 entries bound every
+// candidate of a block, and a block is skipped when its bound is strictly
+// below a real candidate already seen, or equal to it and the block starts
+// at no smaller index.
+// Round-to-nearest addition is monotone, so fl(g(x) + D(p-1, n-x)) never
+// exceeds fl(max g + max D) and a skipped candidate is strictly below the
+// cell's max: the value and the first argmax — the plain scan's strict
+// `v > best` tie-break — come out bit-identical to the full scan, and with
+// them every plan.  Of the last stage only D(P, N) is solved.  In practice
+// this skips most candidates: plan() at N = 10^4 runs 5-28x faster than the
+// full scan (least on the flat-topped M = 1 problems), value() at the
+// paper's N = 1000, P = 200 about 3.5x.
+//
+// Its value provably upper-bounds every planner that emits a fixed plan
+// (greedy, even, Algorithm 1's extracted plan).  Tests verify it matches
+// Algorithm 1's value on every small instance, which justifies using it as
+// the "Dynamic Programming" series at full paper scale, and pin it bit for
+// bit against the plain scalar recurrence
+// (tests/core/planner_oracle_test.cpp).
 #pragma once
 
 #include "core/planner.h"

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <numeric>
+#include <ostream>
 
 #include "util/math.h"
 
@@ -52,6 +53,17 @@ struct PmfCase {
   std::vector<Count> sizes;
   Count bots;
 };
+
+// Names each instantiated case after its contents; without it gtest prints
+// the raw bytes, which include the vector's heap address and so change from
+// run to run.
+std::ostream& operator<<(std::ostream& os, const PmfCase& c) {
+  os << "sizes=";
+  for (std::size_t i = 0; i < c.sizes.size(); ++i) {
+    os << (i == 0 ? "" : ",") << c.sizes[i];
+  }
+  return os << " M=" << c.bots;
+}
 
 class ExactVsMonteCarlo : public ::testing::TestWithParam<PmfCase> {};
 

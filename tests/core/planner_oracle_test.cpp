@@ -2,12 +2,13 @@
 //
 // ReferenceAlgorithmOne (algorithm_one_reference.h) is the frozen
 // pre-optimization planner; every mechanism added since the freeze — the
-// batched pmf-walk kernels, branch-and-bound pruning, cross-round
-// warm-starting, and the restructured SeparableDp sweep — must reproduce its
-// values to <= 1e-10 relative and its plans exactly up to provable value
-// ties.  Randomized sweeps draw (N, M, P, tail_epsilon, a_cap,
-// symmetry_cut, threads) jointly so option interactions are covered, not
-// just one-factor-at-a-time.
+// batched pmf-walk kernels, branch-and-bound pruning and cross-round
+// warm-starting — must reproduce its values to <= 1e-10 relative and its
+// plans exactly up to provable value ties.  Randomized sweeps draw (N, M, P,
+// tail_epsilon, a_cap, symmetry_cut, threads) jointly so option
+// interactions are covered, not just one-factor-at-a-time.  The
+// SeparableDp block-bound search is pinned bit for bit against the plain
+// scalar recurrence it replaced.
 //
 // Runs under both the "planner_oracle" ctest label (the CI differential
 // lane) and the "threading" label (the TSan lane covers the kernels inside
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -239,10 +241,11 @@ TEST(PlannerOracle, FactoryExposesReferencePlanner) {
 }
 
 TEST(PlannerOracle, SeparableDpMatchesAlgorithmOneOnSmallGrid) {
-  // The restructured SeparableDp sweep must still produce the fixed-plan
+  // The pruned SeparableDp search must still produce the fixed-plan
   // optimum: on small instances the adaptive value upper-bounds it and the
-  // greedy/even planners lower-bound it; exact equality with the scalar
-  // recurrence is pinned by re-deriving D(P, N) here.
+  // extracted plan must replay to the DP value.  Bit-exact equality with the
+  // plain scalar recurrence is pinned by
+  // SeparableDpPrunedMatchesScalarRecurrence below.
   const SeparableDpPlanner dp;
   for (Count n = 6; n <= 30; n += 4) {
     for (Count m = 1; m <= 4; ++m) {
@@ -268,16 +271,135 @@ TEST(PlannerOracle, SeparableDpMatchesAlgorithmOneOnSmallGrid) {
 }
 
 TEST(PlannerOracle, SeparableDpTieBreakIsFirstArgmax) {
-  // The 8-way unrolled max + forward first-index scan must reproduce the
-  // scalar loop's strict `v > best` tie-break: with M = 0 every split of n
-  // saves everything, so g(x) + D(p-1, n-x) ties across all x and the
-  // extracted plan must be the first-argmax one (all weight on x = 0 until
-  // the final bucket... i.e. the scan picks index 0 on every tie).
+  // The pruned search must reproduce the scalar loop's strict `v > best`
+  // tie-break: with M = 0 every split of n saves everything, so
+  // g(x) + D(p-1, n-x) ties across all x and the extracted plan must be the
+  // first-argmax one (all weight on x = 0 until the final bucket... i.e.
+  // the scan picks index 0 on every tie).
   const SeparableDpPlanner dp;
   const AssignmentPlan plan = dp.plan({40, 0, 4});
   ASSERT_EQ(plan.counts().size(), 4u);
   EXPECT_EQ(plan.counts()[3], 40);  // walk-back order: last bucket dumped
   EXPECT_EQ(dp.value({40, 0, 4}), 40.0);
+}
+
+// The plain scalar recurrence SeparableDpPlanner is specified by: the same
+// g(x) and the same candidate cap, every candidate x scanned, strict
+// `v > best` (first argmax wins).  Solved once at `max_p` replicas, it keeps
+// every stage's row and argmax table, so the answers for all P <= max_p
+// come from one sweep.
+class ScalarSeparableDp {
+ public:
+  ScalarSeparableDp(Count n_clients, Count bots, Count max_p)
+      : n_(n_clients) {
+    const Count x_max = bots == 0 ? n_ : n_ - bots;
+    std::vector<double> g(static_cast<std::size_t>(n_ + 1), 0.0);
+    for (Count x = 0; x <= x_max; ++x) {
+      g[static_cast<std::size_t>(x)] =
+          static_cast<double>(x) * util::prob_no_bots(n_, bots, x);
+    }
+    d_.push_back(g);
+    std::vector<Count> take_all(static_cast<std::size_t>(n_ + 1));
+    for (Count n = 0; n <= n_; ++n) take_all[static_cast<std::size_t>(n)] = n;
+    arg_.push_back(take_all);
+    for (Count p = 2; p <= max_p; ++p) {
+      const std::vector<double>& prev = d_.back();
+      std::vector<double> row(static_cast<std::size_t>(n_ + 1));
+      std::vector<Count> arg(static_cast<std::size_t>(n_ + 1));
+      for (Count n = 0; n <= n_; ++n) {
+        const Count hi = std::min(n, x_max == 0 ? n : x_max);
+        double best = -1.0;
+        Count best_x = 0;
+        for (Count x = 0; x <= hi; ++x) {
+          const double v = g[static_cast<std::size_t>(x)] +
+                           prev[static_cast<std::size_t>(n - x)];
+          if (v > best) {
+            best = v;
+            best_x = x;
+          }
+        }
+        row[static_cast<std::size_t>(n)] = best;
+        arg[static_cast<std::size_t>(n)] = best_x;
+      }
+      d_.push_back(std::move(row));
+      arg_.push_back(std::move(arg));
+    }
+  }
+
+  [[nodiscard]] double value(Count p) const {
+    return d_[static_cast<std::size_t>(p - 1)][static_cast<std::size_t>(n_)];
+  }
+
+  [[nodiscard]] std::vector<Count> plan(Count p) const {
+    std::vector<Count> counts;
+    Count n = n_;
+    for (Count q = p; q >= 1; --q) {
+      const Count x =
+          arg_[static_cast<std::size_t>(q - 1)][static_cast<std::size_t>(n)];
+      counts.push_back(x);
+      n -= x;
+    }
+    return counts;
+  }
+
+ private:
+  Count n_;
+  std::vector<std::vector<double>> d_;
+  std::vector<std::vector<Count>> arg_;
+};
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Checks value() and plan() for every P in [min_p, max_p] against one
+// reference sweep; returns the number of mismatching problems (details via
+// EXPECT).
+int expect_matches_scalar(Count n, Count m, Count min_p, Count max_p) {
+  const SeparableDpPlanner dp;
+  const ScalarSeparableDp ref(n, m, max_p);
+  int mismatches = 0;
+  for (Count p = min_p; p <= max_p; ++p) {
+    const ShuffleProblem pb{n, m, p};
+    const double got = dp.value(pb);
+    const bool value_ok = same_bits(got, ref.value(p));
+    const std::vector<Count> plan = dp.plan(pb).counts();
+    const bool plan_ok = plan == ref.plan(p);
+    EXPECT_TRUE(value_ok) << "N=" << n << " M=" << m << " P=" << p
+                          << " value " << got << " vs scalar " << ref.value(p);
+    EXPECT_EQ(plan, ref.plan(p)) << "N=" << n << " M=" << m << " P=" << p;
+    if (!value_ok || !plan_ok) ++mismatches;
+  }
+  return mismatches;
+}
+
+TEST(PlannerOracle, SeparableDpPrunedMatchesScalarRecurrence) {
+  // The block-bound search skips candidates only when a bound is strictly
+  // below (or tied at a later index than) a real candidate, so its value and
+  // first argmax must equal the full scan bit for bit -- not merely within a
+  // tolerance.  Exhaustive small grid, every M including the degenerate
+  // M = 0 (every split ties) and M = N (every g is 0).
+  int mismatches = 0;
+  for (Count n = 0; n <= 120 && mismatches < 5; ++n) {
+    for (Count m = 0; m <= n; ++m) mismatches += expect_matches_scalar(n, m, 1, 12);
+  }
+  EXPECT_EQ(mismatches, 0);
+
+  // Degenerate cases at a size that spans several coarse blocks.
+  const SeparableDpPlanner dp;
+  std::vector<Count> dump_last(10, 0);
+  dump_last.back() = 1000;
+  EXPECT_EQ(dp.plan({1000, 1000, 10}).counts(), dump_last);  // g == 0
+  EXPECT_EQ(dp.value({1000, 1000, 10}), 0.0);
+  EXPECT_EQ(dp.plan({1000, 0, 10}).counts(), dump_last);  // all splits tie
+  EXPECT_EQ(dp.value({1000, 0, 10}), 1000.0);
+
+  // Campaign-scale problems that the dp campaigns re-plan, from the
+  // strongly pruned (M = 1000) to the flat-topped concave M = 1.
+  EXPECT_EQ(expect_matches_scalar(10003, 1000, 20, 20), 0);
+  EXPECT_EQ(expect_matches_scalar(9832, 1, 20, 20), 0);
+  EXPECT_EQ(expect_matches_scalar(4936, 65, 10, 10), 0);
+  EXPECT_EQ(expect_matches_scalar(2978, 3, 10, 10), 0);
 }
 
 }  // namespace
