@@ -21,6 +21,7 @@
 // (BENCH_qos.json in CI).
 #include <algorithm>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,9 @@ VariantResult run_variant(std::string name, ScenarioConfig cfg,
                           double threshold_s, obs::Registry* registry) {
   cfg.registry = registry;
   Scenario s(cfg);
-  s.run_until(horizon_s);
+  if (!s.run_until(horizon_s)) {
+    throw std::runtime_error("event budget exhausted in variant " + name);
+  }
 
   VariantResult r;
   r.name = std::move(name);

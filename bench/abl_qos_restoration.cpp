@@ -13,6 +13,7 @@
 // Reported per 10-second window: page-load success rate (completed loads /
 // (loads + timeouts)) and mean page latency across all benign clients.
 #include <iostream>
+#include <stdexcept>
 
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
@@ -56,7 +57,9 @@ std::vector<WindowStats> run_world(bool defended, int clients, int bots,
       defended ? 200.0 : 1e18;  // undefended: detection never fires
   cfg.boot_delay_s = 0.3;
   Scenario s(cfg);
-  s.run_until(horizon_s);
+  if (!s.run_until(horizon_s)) {
+    throw std::runtime_error("event budget exhausted");
+  }
 
   const auto windows = static_cast<std::size_t>(horizon_s / window_s);
   std::vector<std::int64_t> loads(windows, 0);

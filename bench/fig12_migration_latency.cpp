@@ -18,6 +18,7 @@
 // stays within a few seconds at 60 clients; the per-client average grows
 // much more slowly.
 #include <iostream>
+#include <stdexcept>
 
 #include "cloudsim/scenario.h"
 #include "shuffle_series.h"
@@ -86,7 +87,9 @@ MigrationResult run_once(int client_count, std::uint64_t seed,
 
   Scenario s(cfg);
   // Let every client finish the join flow (page + WebSocket) first.
-  s.run_until(20.0);
+  if (!s.run_until(20.0)) {
+    throw std::runtime_error("fig12: event budget exhausted during join");
+  }
   if (s.clients_connected() != client_count) return {};
 
   const double trigger_at = s.now() + 0.1;
@@ -102,7 +105,9 @@ MigrationResult run_once(int client_count, std::uint64_t seed,
   }
   s.world().loop().schedule_at(trigger_at,
                                [&] { p1->simulate_attack_detected(); });
-  s.run_until(trigger_at + 60.0);
+  if (!s.run_until(trigger_at + 60.0)) {
+    throw std::runtime_error("fig12: event budget exhausted after trigger");
+  }
 
   MigrationResult result;
   util::Accumulator per_client;

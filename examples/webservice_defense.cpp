@@ -11,6 +11,7 @@
 // Build & run:  cmake --build build && ./build/examples/webservice_defense
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 
 #include "cloudsim/scenario.h"
 
@@ -40,7 +41,7 @@ int main() {
                "30 clients joining, botnet lurking\n";
 
   auto report = [&](double t) {
-    s.run_until(t);
+    if (!s.run_until(t)) throw std::runtime_error("event budget exhausted");
     const auto& cs = s.coordinator()->stats();
     std::cout << "t=" << std::setw(4) << t << "s  "
               << "connected=" << s.clients_connected() << "/30"

@@ -5,14 +5,19 @@
 // increasing sequence number breaks ties), which keeps every simulation
 // deterministic for a given seed.
 //
-// The heap is an explicit vector (std::push_heap / std::pop_heap with the
-// same comparator std::priority_queue would use) so large scenarios can
-// reserve() capacity up front and pop without the const_cast idiom.
+// Two event flavours, one heap.  Every event is a 32-byte POD key
+// {time, seq, a, b, kind} in a single 4-ary min-heap ordered by strict
+// (time, seq):
 //
-// Two event flavours share one global (time, sequence) order: general
-// std::function closures, and POD fast-path events — a registered handler
-// index plus two 32-bit words — for subsystems that schedule millions of
-// events and cannot afford a 48-byte type-erased node per pop.
+//  * POD events — a registered handler index plus two 32-bit words — for
+//    subsystems that schedule millions of events (the network's delivery
+//    walkers): no allocation, no destructor on pop.
+//  * std::function closures for everything else.  The closure lives in a
+//    free-listed slab; its key carries the reserved kind kClosureKind and
+//    the slab slot in `a`.
+//
+// A 4-ary heap pops at half the sift depth of a binary heap, and a 32-byte
+// key moves in one cache-line step.
 #pragma once
 
 #include <cstdint>
@@ -43,35 +48,30 @@ class EventLoop {
   /// Register a POD event kind: a plain function pointer plus an opaque
   /// context, called as handler(ctx, a, b).  Hot subsystems (the network's
   /// delivery walkers) register once and then schedule millions of events
-  /// that cost a 32-byte heap node each — no std::function, no allocation,
+  /// that cost a 32-byte heap key each — no std::function, no allocation,
   /// no destructor on pop.  The registrant must outlive the loop's run.
   std::uint16_t register_pod_handler(PodHandler handler, void* ctx);
 
   /// Schedule a POD event at absolute time `t` (finite, >= now).  POD and
-  /// std::function events pop in one global (time, schedule-order) sequence,
-  /// so determinism is exactly as if both lived in a single queue.
+  /// std::function events share one heap and one (time, schedule-order)
+  /// sequence.
   void schedule_pod_at(SimTime t, std::uint16_t kind, std::uint32_t a,
                        std::uint32_t b);
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
-  [[nodiscard]] bool empty() const noexcept {
-    return queue_.empty() && pod_queue_.empty();
-  }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::uint64_t processed() const noexcept { return processed_; }
 
-  /// Pre-size the event heaps (large scenarios avoid growth reallocations).
-  void reserve(std::size_t events) {
-    queue_.reserve(events);
-    pod_queue_.reserve(events);
-  }
+  /// Pre-size the event heap (large scenarios avoid growth reallocations).
+  void reserve(std::size_t events) { heap_.reserve(events); }
 
   /// Run events with time <= t_end; afterwards now() == t_end (or the time
   /// of the event that hit the event budget).  Returns false if the event
   /// budget was exhausted.
-  bool run_until(SimTime t_end);
+  [[nodiscard]] bool run_until(SimTime t_end);
 
   /// Drain the queue completely.  Returns false on event-budget exhaustion.
-  bool run();
+  [[nodiscard]] bool run();
 
   /// Guard against runaway simulations (default: 200M events).
   void set_event_budget(std::uint64_t budget) noexcept { budget_ = budget; }
@@ -85,44 +85,37 @@ class EventLoop {
   }
 
  private:
-  struct Event {
+  struct Key {
     SimTime time;
     std::uint64_t seq;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-  struct PodEvent {
-    SimTime time;
-    std::uint64_t seq;  // shared counter with Event: one global tie order
-    std::uint32_t a;
+    std::uint32_t a;  // POD word, or the closure's slab slot
     std::uint32_t b;
     std::uint16_t kind;
   };
-  /// "a fires before b" — strict (time, seq) order.
-  static bool pod_before(const PodEvent& a, const PodEvent& b) noexcept {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+  static_assert(sizeof(Key) == 32);
+  /// Reserved kind: the key's `a` is a slot of closures_.
+  static constexpr std::uint16_t kClosureKind = 0xFFFF;
+
+  /// "x fires before y" — strict (time, seq) order.
+  static bool before(const Key& x, const Key& y) noexcept {
+    if (x.time != y.time) return x.time < y.time;
+    return x.seq < y.seq;
   }
   struct PodKind {
     PodHandler handler = nullptr;
     void* ctx = nullptr;
   };
 
-  /// Pop the earliest event off the heap (caller checked non-empty).
-  Event pop_front();
-  PodEvent pop_pod();
-  void push_pod(const PodEvent& ev);
+  void push(SimTime t, std::uint16_t kind, std::uint32_t a, std::uint32_t b);
+  /// Pop the earliest key off the heap (caller checked non-empty).
+  Key pop();
+  /// Fire events with time <= t_end; false on event-budget exhaustion.
+  bool drain(SimTime t_end);
   void validate_time(SimTime t) const;
 
-  std::vector<Event> queue_;  // binary heap ordered by Later
-  // 4-ary min-heap by (time, seq): POD events pop at half the sift depth
-  // of a binary heap, and a 32-byte element moves in one cache-line step.
-  std::vector<PodEvent> pod_queue_;
+  std::vector<Key> heap_;  // 4-ary min-heap by (time, seq)
+  std::vector<std::function<void()>> closures_;  // slab; free slots are empty
+  std::vector<std::uint32_t> free_closures_;
   std::vector<PodKind> pod_kinds_;
   SimTime now_ = 0.0;
   std::uint64_t seq_ = 0;

@@ -130,15 +130,8 @@ bool Network::admit(Message& msg) {
         resolve(msg, NetTraceEvent::Outcome::kDuplicated);
         Message copy = msg;
         const double delay = fault_->config().dup_extra_delay_s;
-        if (pooled_) {
-          const std::uint32_t slot = acquire(std::move(copy));
-          loop_.schedule_after(delay, [this, slot] { dispatch_pooled(slot); });
-        } else {
-          loop_.schedule_after(delay,
-                               [this, copy = std::move(copy)]() mutable {
-                                 transmit(std::move(copy));
-                               });
-        }
+        const std::uint32_t slot = acquire(std::move(copy));
+        loop_.schedule_after(delay, [this, slot] { dispatch(slot); });
         break;
       }
       case FaultAction::kDeliver:
@@ -153,11 +146,7 @@ bool Network::admit(Message& msg) {
 
 void Network::send(Message msg) {
   if (!admit(msg)) return;
-  if (pooled_) {
-    dispatch_pooled(acquire(std::move(msg)));
-  } else {
-    transmit(std::move(msg));
-  }
+  dispatch(acquire(std::move(msg)));
 }
 
 void Network::send_batch(NodeId src, MessageType type, std::int64_t size_bytes,
@@ -170,7 +159,7 @@ void Network::send_batch(NodeId src, MessageType type, std::int64_t size_bytes,
   }
 }
 
-// ---- pooled engine ---------------------------------------------------------
+// ---- slot arena ------------------------------------------------------------
 
 std::uint32_t Network::acquire(Message&& msg) {
   if (free_slots_.empty()) {
@@ -188,59 +177,51 @@ void Network::release(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-double Network::egress_admit(Message& msg) {
+void Network::drop_in_flight(double t, std::uint32_t slot,
+                             NetTraceEvent::Outcome outcome) {
+  --stats_.in_flight;
+  metrics_.in_flight.add(-1);
+  switch (outcome) {
+    case NetTraceEvent::Outcome::kDroppedEgress:
+      ++stats_.dropped_egress;
+      metrics_.dropped_egress.inc();
+      break;
+    case NetTraceEvent::Outcome::kDroppedIngress:
+      ++stats_.dropped_ingress;
+      metrics_.dropped_ingress.inc();
+      break;
+    default:
+      ++stats_.dropped_detached;
+      metrics_.dropped_detached.inc();
+      break;
+  }
+  resolve_at(t, slots_[static_cast<std::size_t>(slot)], outcome);
+  release(slot);
+}
+
+void Network::dispatch(std::uint32_t slot) {
+  const Message& msg = slots_[static_cast<std::size_t>(slot)];
+  const double now = loop_.now();
   Port& src = port_at(msg.src);
   if (!src.attached) {
     // A duplicated copy can outlive its sender's NIC.
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-    return -1.0;
+    drop_in_flight(now, slot, NetTraceEvent::Outcome::kDroppedDetached);
+    return;
   }
-  Port& dst = port_at(msg.dst);
   const bool priority = is_priority_type(msg.type);
-  const double now = loop_.now();
   Lane& out_lane = priority ? src.egress_ctrl : src.egress_data;
   const double out_bps = priority
                              ? src.nic.egress_bps * src.nic.control_share
                              : src.nic.egress_bps * (1.0 - src.nic.control_share);
   const double out_backlog = std::max(0.0, out_lane.busy_until - now);
   if (out_backlog > src.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_egress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_egress.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedEgress);
-    return -1.0;
+    drop_in_flight(now, slot, NetTraceEvent::Outcome::kDroppedEgress);
+    return;
   }
   const double out_ser = static_cast<double>(msg.size_bytes) * 8.0 / out_bps;
   const double departs = std::max(now, out_lane.busy_until) + out_ser;
   out_lane.busy_until = departs;
-  return departs + propagation_s(src, dst);
-}
-
-void Network::dispatch_pooled(std::uint32_t slot) {
-  if (!batch_enabled_) {
-    transmit_pooled(slot);
-    return;
-  }
-  const double arrives = egress_admit(slots_[static_cast<std::size_t>(slot)]);
-  if (arrives < 0) {
-    release(slot);
-    return;
-  }
-  ingress_enqueue(slot, arrives);
-}
-
-void Network::transmit_pooled(std::uint32_t slot) {
-  const double arrives = egress_admit(slots_[static_cast<std::size_t>(slot)]);
-  if (arrives < 0) {
-    release(slot);
-    return;
-  }
-  loop_.schedule_at(arrives, [this, slot] { arrive_pooled(slot); });
+  ingress_enqueue(slot, departs + propagation_s(src, port_at(msg.dst)));
 }
 
 // ---- per-lane delivery walkers ---------------------------------------------
@@ -248,15 +229,15 @@ void Network::transmit_pooled(std::uint32_t slot) {
 // One IngressQueue per (port, priority) lane.  Arrivals enqueue into the
 // lane's pending heap at send time; fates (detached / tail-drop / delivery
 // instant) are sealed strictly in (arrival, send-order) sequence with the
-// lane's busy horizon as of the arrival instant — exactly the values the
-// per-closure engine computes — but lazily, at walker firings.  The walker
-// is armed at the lane's next delivery instant: when the head's predicted
-// instant holds (the common case on quiet lanes), one POD event finalizes
-// and delivers it in a single pop.  Predictions can only go stale upward
-// (busy horizons never shrink), so a walker never fires after the true
-// instant — a stale early firing just re-arms.  Drops are recorded with
-// the arrival timestamp (resolve_at), matching the per-closure engine;
-// only the position in the trace log shifts.
+// lane's busy horizon as of the arrival instant — exactly the values an
+// eager evaluation at the arrival instant computes — but lazily, at walker
+// firings.  The walker is armed at the lane's next delivery instant: when
+// the head's predicted instant holds (the common case on quiet lanes), one
+// POD event finalizes and delivers it in a single pop.  Predictions can
+// only go stale upward (busy horizons never shrink), so a walker never
+// fires after the true instant — a stale early firing just re-arms.  Drops
+// are recorded with the arrival timestamp (resolve_at); their position in
+// the trace log is that of the walker firing that sealed them.
 
 void Network::ingress_enqueue(std::uint32_t slot, double arr) {
   const Message& msg = slots_[static_cast<std::size_t>(slot)];
@@ -271,15 +252,10 @@ void Network::ingress_enqueue(std::uint32_t slot, double arr) {
 
 void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
                                double now) {
-  Message& msg = slots_[static_cast<std::size_t>(p.slot)];
+  const Message& msg = slots_[static_cast<std::size_t>(p.slot)];
   Port& d = ports_[static_cast<std::size_t>(msg.dst)];
   if (!d.attached) {
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve_at(p.arr, msg, NetTraceEvent::Outcome::kDroppedDetached);
-    release(p.slot);
+    drop_in_flight(p.arr, p.slot, NetTraceEvent::Outcome::kDroppedDetached);
     return;
   }
   const bool priority = (lane & 1u) != 0;
@@ -289,12 +265,7 @@ void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
                             : d.nic.ingress_bps * (1.0 - d.nic.control_share);
   const double in_backlog = std::max(0.0, in_lane.busy_until - p.arr);
   if (in_backlog > d.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_ingress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_ingress.inc();
-    resolve_at(p.arr, msg, NetTraceEvent::Outcome::kDroppedIngress);
-    release(p.slot);
+    drop_in_flight(p.arr, p.slot, NetTraceEvent::Outcome::kDroppedIngress);
     return;
   }
   const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
@@ -302,7 +273,7 @@ void Network::finalize_arrival(std::uint32_t lane, const Pending& p,
   in_lane.busy_until = done;
   if (done <= now) {
     // The armed prediction held exactly: finalize and deliver in one pop.
-    deliver_pooled(p.slot);
+    deliver(p.slot);
   } else {
     ingress_[static_cast<std::size_t>(lane)].ready.push_back(
         Ready{done, p.slot});
@@ -326,7 +297,7 @@ void Network::walk_lane(std::uint32_t lane, std::uint32_t gen) {
     }
     const std::uint32_t slot = q.ready[q.ready_head].slot;
     ++q.ready_head;
-    deliver_pooled(slot);
+    deliver(slot);
   }
   // Seal matured arrivals in (arr, order) sequence.
   for (;;) {
@@ -384,41 +355,7 @@ void Network::arm_lane(std::uint32_t lane) {
   loop_.schedule_pod_at(next, pod_walk_kind_, lane, q.gen);
 }
 
-void Network::arrive_pooled(std::uint32_t slot) {
-  Message& msg = slots_[static_cast<std::size_t>(slot)];
-  Port& d = ports_[static_cast<std::size_t>(msg.dst)];
-  if (!d.attached) {
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-    release(slot);
-    return;
-  }
-  const bool priority = is_priority_type(msg.type);
-  const double now = loop_.now();
-  Lane& in_lane = priority ? d.ingress_ctrl : d.ingress_data;
-  const double in_bps = priority
-                            ? d.nic.ingress_bps * d.nic.control_share
-                            : d.nic.ingress_bps * (1.0 - d.nic.control_share);
-  const double in_backlog = std::max(0.0, in_lane.busy_until - now);
-  if (in_backlog > d.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_ingress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_ingress.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedIngress);
-    release(slot);
-    return;
-  }
-  const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
-  const double done = std::max(now, in_lane.busy_until) + in_ser;
-  in_lane.busy_until = done;
-  loop_.schedule_at(done, [this, slot] { deliver_pooled(slot); });
-}
-
-void Network::deliver_pooled(std::uint32_t slot) {
+void Network::deliver(std::uint32_t slot) {
   // Move out before running the receiver: on_message may send, and a send
   // can grow the arena, invalidating references into slots_.
   Message msg = std::move(slots_[static_cast<std::size_t>(slot)]);
@@ -438,93 +375,6 @@ void Network::deliver_pooled(std::uint32_t slot) {
   metrics_.bytes_delivered.inc(static_cast<std::uint64_t>(msg.size_bytes));
   resolve(msg, NetTraceEvent::Outcome::kDelivered);
   d.node->on_message(msg);
-}
-
-// ---- legacy engine ---------------------------------------------------------
-
-void Network::transmit(Message msg) {
-  Port& src = port_at(msg.src);
-  if (!src.attached) {
-    // A duplicated copy can outlive its sender's NIC.
-    --stats_.in_flight;
-    ++stats_.dropped_detached;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_detached.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-    return;
-  }
-  Port& dst = port_at(msg.dst);
-
-  const bool priority = is_priority_type(msg.type);
-  const double now = loop_.now();
-
-  // --- egress serialization -------------------------------------------------
-  Lane& out_lane = priority ? src.egress_ctrl : src.egress_data;
-  const double out_bps = priority ? src.nic.egress_bps * src.nic.control_share
-                                  : src.nic.egress_bps * (1.0 - src.nic.control_share);
-  const double out_backlog = std::max(0.0, out_lane.busy_until - now);
-  if (out_backlog > src.nic.max_queue_s) {
-    --stats_.in_flight;
-    ++stats_.dropped_egress;
-    metrics_.in_flight.add(-1);
-    metrics_.dropped_egress.inc();
-    resolve(msg, NetTraceEvent::Outcome::kDroppedEgress);
-    return;
-  }
-  const double out_ser = static_cast<double>(msg.size_bytes) * 8.0 / out_bps;
-  const double departs = std::max(now, out_lane.busy_until) + out_ser;
-  out_lane.busy_until = departs;
-
-  const double arrives_at_nic = departs + propagation_s(src, dst);
-
-  // --- ingress serialization (evaluated on arrival at the receiver NIC) -----
-  const NodeId dst_id = msg.dst;
-  loop_.schedule_at(arrives_at_nic, [this, dst_id, priority,
-                                     msg = std::move(msg)]() mutable {
-    Port& d = ports_[static_cast<std::size_t>(dst_id)];
-    if (!d.attached) {
-      --stats_.in_flight;
-      ++stats_.dropped_detached;
-      metrics_.in_flight.add(-1);
-      metrics_.dropped_detached.inc();
-      resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-      return;
-    }
-    const double now2 = loop_.now();
-    Lane& in_lane = priority ? d.ingress_ctrl : d.ingress_data;
-    const double in_bps = priority
-                              ? d.nic.ingress_bps * d.nic.control_share
-                              : d.nic.ingress_bps * (1.0 - d.nic.control_share);
-    const double in_backlog = std::max(0.0, in_lane.busy_until - now2);
-    if (in_backlog > d.nic.max_queue_s) {
-      --stats_.in_flight;
-      ++stats_.dropped_ingress;
-      metrics_.in_flight.add(-1);
-      metrics_.dropped_ingress.inc();
-      resolve(msg, NetTraceEvent::Outcome::kDroppedIngress);
-      return;
-    }
-    const double in_ser = static_cast<double>(msg.size_bytes) * 8.0 / in_bps;
-    const double done = std::max(now2, in_lane.busy_until) + in_ser;
-    in_lane.busy_until = done;
-    loop_.schedule_at(done, [this, dst_id, msg = std::move(msg)]() mutable {
-      Port& d2 = ports_[static_cast<std::size_t>(dst_id)];
-      --stats_.in_flight;
-      metrics_.in_flight.add(-1);
-      if (!d2.attached) {
-        ++stats_.dropped_detached;
-        metrics_.dropped_detached.inc();
-        resolve(msg, NetTraceEvent::Outcome::kDroppedDetached);
-        return;
-      }
-      ++stats_.delivered;
-      stats_.bytes_delivered += msg.size_bytes;
-      metrics_.delivered.inc();
-      metrics_.bytes_delivered.inc(static_cast<std::uint64_t>(msg.size_bytes));
-      resolve(msg, NetTraceEvent::Outcome::kDelivered);
-      d2.node->on_message(msg);
-    });
-  });
 }
 
 }  // namespace shuffledef::cloudsim

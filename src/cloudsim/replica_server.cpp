@@ -12,9 +12,8 @@ ReplicaServer::ReplicaServer(World& world, std::string name,
                              ReplicaConfig config, NodeId coordinator)
     : Node(world, std::move(name)), config_(config), coordinator_(coordinator) {
   // Shuffle assignments land thousands of clients per replica; pre-sizing
-  // the per-client tables keeps rehashing off the request hot path.
+  // the whitelist keeps rehashing off the request hot path.
   whitelist_.reserve(1024);
-  websockets_.reserve(1024);
   if (config_.registry != nullptr) {
     latency_ewma_us_ = config_.registry->gauge(kMetricReplicaLatencyEwmaUs);
     queue_depth_peak_us_ =
@@ -157,7 +156,6 @@ void ReplicaServer::on_message(const Message& msg) {
         ++stats_.rejected_not_whitelisted;
         break;
       }
-      websockets_[open.client_ip] = msg.src;
       send(msg.src, MessageType::kWsOpenAck, kWsFrameBytes);
       break;
     }

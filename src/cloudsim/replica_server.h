@@ -129,7 +129,6 @@ class ReplicaServer final : public Node {
   ReplicaConfig config_;
   NodeId coordinator_;
   std::unordered_map<IpId, NodeId> whitelist_;  // ip -> client node
-  std::unordered_map<IpId, NodeId> websockets_;
   double cpu_busy_until_ = 0.0;
   std::uint64_t junk_in_window_ = 0;
   bool attack_reported_ = false;

@@ -114,11 +114,6 @@ Scenario::Scenario(ScenarioConfig config) {
   world_->loop().set_registry(registry_);
   world_->network().set_registry(registry_);
   if (config.record_net_trace) world_->network().enable_trace();
-  // The flat engine requires the pooled arena (its per-member start events
-  // and the batched redirect fan-outs assume POD closures + slot storage).
-  world_->network().set_pooled_delivery(config.pooled_delivery ||
-                                        engine_ == ClientEngine::kFlat);
-  world_->network().set_batch_delivery(config.batch_delivery);
   if (engine_ == ClientEngine::kFlat) {
     const auto population = static_cast<std::size_t>(
         config.clients + config.persistent_bots + config.naive_bots);

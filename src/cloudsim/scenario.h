@@ -4,6 +4,10 @@
 // balancers, initial replicas, the coordination server, the cloud provider
 // — plus a client population and (optionally) a botnet with persistent and
 // naive bots.  Tests, examples, and the Figure-12 bench all build on this.
+//
+// Either client engine (ClientEngine below) rides the same network: one
+// delivery engine (the slot arena with per-lane walkers, cloudsim/network.h)
+// on one event heap (cloudsim/event_loop.h).
 #pragma once
 
 #include <memory>
@@ -30,9 +34,9 @@ namespace shuffledef::cloudsim {
 ///  * kPerObject — one ClientAgent / PersistentBot heap object per member
 ///    (the original engine; per-member record vectors, per-timer closures).
 ///  * kFlat — one ClientSwarm node holding the whole population as SoA
-///    columns, with pooled message delivery forced on.  Scales to 10^6
-///    members; timers are quantized to `swarm_sweep_dt_s` and per-member
-///    stats collapse to aggregates (see cloudsim/client_swarm.h).
+///    columns.  Scales to 10^6 members; timers are quantized to
+///    `swarm_sweep_dt_s` and per-member stats collapse to aggregates (see
+///    cloudsim/client_swarm.h).
 enum class ClientEngine { kPerObject, kFlat };
 
 struct ScenarioConfig {
@@ -103,13 +107,6 @@ struct ScenarioConfig {
   /// Flat engine timer granularity (timeouts/heartbeats/bot cadences fire
   /// on sweep boundaries).
   double swarm_sweep_dt_s = 0.25;
-  /// Route traffic through the network's pooled slot arena (POD closures,
-  /// no per-message allocation).  Forced on by the flat engine; off by
-  /// default so the legacy engine stays the differential reference.
-  bool pooled_delivery = false;
-  /// Allow send_batch fan-outs to ride one walking event per batch (off
-  /// degrades them to per-message sends — the batching oracle).
-  bool batch_delivery = true;
 
   NetworkConfig network;
 
@@ -145,7 +142,7 @@ class Scenario {
   explicit Scenario(ScenarioConfig config);
 
   /// Advance simulated time.  Returns false if the event budget blew up.
-  bool run_until(SimTime t);
+  [[nodiscard]] bool run_until(SimTime t);
 
   [[nodiscard]] World& world() { return *world_; }
   [[nodiscard]] SimTime now() const { return world_->now(); }

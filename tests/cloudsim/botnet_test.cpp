@@ -43,7 +43,7 @@ struct Rig {
 TEST(Botnet, PersistentBotJoinsLikeAClientAndIsWhitelisted) {
   Rig rig;
   auto* bot = rig.add_pbot("66.1.1.1", 0.0);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   EXPECT_TRUE(bot->connected());
   EXPECT_EQ(bot->current_replica(), rig.replica->id());
   const auto clients = rig.replica->connected_clients();
@@ -54,7 +54,7 @@ TEST(Botnet, PersistentBotJoinsLikeAClientAndIsWhitelisted) {
 TEST(Botnet, PersistentBotFloodsItsReplica) {
   Rig rig;
   auto* bot = rig.add_pbot("66.1.1.2", 500.0);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   EXPECT_GT(bot->junk_sent(), 500u);
   EXPECT_GT(rig.replica->stats().junk_received, 500u);
 }
@@ -62,7 +62,7 @@ TEST(Botnet, PersistentBotFloodsItsReplica) {
 TEST(Botnet, BotmasterBuildsHitListFromScoutReports) {
   Rig rig;
   rig.add_pbot("66.1.1.3", 0.0);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   EXPECT_TRUE(rig.botmaster->hit_list().contains(rig.replica->id()));
 }
 
@@ -71,11 +71,11 @@ TEST(Botnet, NaiveBotsFloodOnlyCommandedTargets) {
   auto* naive = rig.world.spawn<NaiveBot>(nic(), "nbot",
                                           NaiveBotConfig{.junk_rate_pps = 300});
   rig.botmaster->add_naive_bot(naive->id());
-  rig.world.loop().run_until(2.0);
+  ASSERT_TRUE(rig.world.loop().run_until(2.0));
   EXPECT_EQ(naive->junk_sent(), 0u);  // no hit list yet
 
   rig.add_pbot("66.1.1.4", 0.0);  // the scout reports the replica
-  rig.world.loop().run_until(8.0);
+  ASSERT_TRUE(rig.world.loop().run_until(8.0));
   EXPECT_GT(naive->junk_sent(), 100u);
   EXPECT_GT(rig.replica->stats().junk_received, 100u);
 }
@@ -86,13 +86,13 @@ TEST(Botnet, NaiveBotsKeepShootingAtRecycledInstances) {
                                           NaiveBotConfig{.junk_rate_pps = 300});
   rig.botmaster->add_naive_bot(naive->id());
   rig.add_pbot("66.1.1.5", 0.0);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   const auto junk_before = rig.replica->stats().junk_received;
   EXPECT_GT(junk_before, 0u);
 
   // The defense replaces the replica; the naive bots never learn.
   rig.world.retire(rig.replica->id());
-  rig.world.loop().run_until(10.0);
+  ASSERT_TRUE(rig.world.loop().run_until(10.0));
   EXPECT_GT(naive->junk_sent(), 1000u);
   EXPECT_EQ(rig.replica->stats().junk_received, junk_before);
   EXPECT_GT(rig.world.network().stats().dropped_detached, 500u);
@@ -108,7 +108,7 @@ TEST(Botnet, HeavyRequestBotBurnsServerCpu) {
   pc.heavy_interval_s = 0.05;
   pc.heavy_cpu_seconds = 0.2;
   auto* bot = rig.world.spawn<PersistentBot>(nic(0.02), "heavy-bot", pc);
-  rig.world.loop().run_until(6.0);
+  ASSERT_TRUE(rig.world.loop().run_until(6.0));
   EXPECT_GT(bot->heavy_sent(), 20u);
   // 4 CPU-seconds of work arrive per wall second: backlog builds, shedding
   // eventually kicks in.
@@ -143,7 +143,7 @@ TEST(Botnet, DetectionTickReportsFloodToCoordinator) {
           rig.world.network().send(std::move(junk));
         });
   }
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   EXPECT_EQ(coord->reports, 1);  // reported once, not spammed
 }
 

@@ -41,7 +41,7 @@ struct Rig {
 TEST(BrowsingClient, ReloadsRepeatedly) {
   Rig rig;
   auto* c = rig.add_browser("1.1.1.1", 1.0);
-  rig.world.loop().run_until(30.0);
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
   ASSERT_TRUE(c->connected());
   // ~30s of browsing at ~1s think time: plenty of loads.
   EXPECT_GE(c->stats().page_loads.size(), 10u);
@@ -58,7 +58,7 @@ TEST(BrowsingClient, ReloadsRepeatedly) {
 TEST(BrowsingClient, NoReloadsWhenThinkTimeZero) {
   Rig rig;
   auto* c = rig.add_browser("1.1.1.2", 0.0);
-  rig.world.loop().run_until(20.0);
+  ASSERT_TRUE(rig.world.loop().run_until(20.0));
   ASSERT_TRUE(c->connected());
   EXPECT_EQ(c->stats().page_loads.size(), 1u);  // prototype behaviour
 }
@@ -66,7 +66,7 @@ TEST(BrowsingClient, NoReloadsWhenThinkTimeZero) {
 TEST(BrowsingClient, KeepsBrowsingAcrossAMigration) {
   Rig rig;
   auto* c = rig.add_browser("1.1.1.3", 0.5);
-  rig.world.loop().run_until(10.0);
+  ASSERT_TRUE(rig.world.loop().run_until(10.0));
   ASSERT_TRUE(c->connected());
   const auto loads_before = c->stats().page_loads.size();
 
@@ -82,7 +82,7 @@ TEST(BrowsingClient, KeepsBrowsingAcrossAMigration) {
               kControlMessageBytes, cmd};
     rig.world.network().send(std::move(m));
   });
-  rig.world.loop().run_until(25.0);
+  ASSERT_TRUE(rig.world.loop().run_until(25.0));
   EXPECT_TRUE(c->connected());
   EXPECT_EQ(c->current_replica(), rig.r2->id());
   ASSERT_EQ(c->stats().migrations.size(), 1u);
@@ -101,13 +101,13 @@ TEST(HeartbeatClient, DetectsSilentReplicaDeathAndRejoins) {
   cc.heartbeat_s = 1.0;
   cc.request_timeout_s = 1.0;
   auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-client", cc);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   ASSERT_TRUE(c->connected());
   const NodeId home = c->current_replica();
 
   // The replica dies WITHOUT any shuffle command (instance failure).
   rig.world.retire(home);
-  rig.world.loop().run_until(20.0);
+  ASSERT_TRUE(rig.world.loop().run_until(20.0));
 
   EXPECT_GE(c->stats().heartbeat_failures, 1);
   EXPECT_TRUE(c->connected());
@@ -123,7 +123,7 @@ TEST(HeartbeatClient, QuietConnectionStaysUpWithoutRejoins) {
   cc.heartbeat_s = 0.5;
   cc.request_timeout_s = 0.5;  // ping cycle = heartbeat + pong wait = 1 s
   auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-quiet", cc);
-  rig.world.loop().run_until(30.0);
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
   EXPECT_TRUE(c->connected());
   EXPECT_EQ(c->stats().heartbeat_failures, 0);
   EXPECT_EQ(c->stats().rejoins, 0);
@@ -139,7 +139,7 @@ TEST(HeartbeatClient, SurvivesAPushMigrationWithoutFalseAlarms) {
   cc.dns = rig.dns->id();
   cc.heartbeat_s = 0.5;
   auto* c = rig.world.spawn<ClientAgent>(nic(0.02), "hb-migrate", cc);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   ASSERT_TRUE(c->connected());
   ASSERT_EQ(c->current_replica(), rig.r1->id());
 
@@ -154,7 +154,7 @@ TEST(HeartbeatClient, SurvivesAPushMigrationWithoutFalseAlarms) {
               kControlMessageBytes, cmd};
     rig.world.network().send(std::move(m));
   });
-  rig.world.loop().run_until(30.0);
+  ASSERT_TRUE(rig.world.loop().run_until(30.0));
   EXPECT_TRUE(c->connected());
   EXPECT_EQ(c->current_replica(), rig.r2->id());
   // The push-based migration must not be misread as a dead WebSocket.
@@ -170,7 +170,7 @@ TEST(BrowsingClient, TimeoutsAreTimestamped) {
   cc.dns = rig.dns->id();
   cc.request_timeout_s = 0.5;
   auto* c = rig.world.spawn<ClientAgent>(nic(), "lost", cc);
-  rig.world.loop().run_until(5.0);
+  ASSERT_TRUE(rig.world.loop().run_until(5.0));
   EXPECT_FALSE(c->connected());
   ASSERT_GT(c->stats().timeout_at.size(), 0u);
   EXPECT_EQ(static_cast<int>(c->stats().timeout_at.size()),

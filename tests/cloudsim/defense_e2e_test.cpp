@@ -112,8 +112,8 @@ TEST(DefenseE2E, DeterministicAcrossRuns) {
   cfg.bot_junk_rate_pps = 400.0;
   Scenario a(cfg);
   Scenario b(cfg);
-  a.run_until(20.0);
-  b.run_until(20.0);
+  ASSERT_TRUE(a.run_until(20.0));
+  ASSERT_TRUE(b.run_until(20.0));
   EXPECT_EQ(a.coordinator()->stats().rounds_executed,
             b.coordinator()->stats().rounds_executed);
   EXPECT_EQ(a.coordinator()->stats().clients_migrated,

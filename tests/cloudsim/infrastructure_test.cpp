@@ -24,9 +24,9 @@ TEST(CloudProvider, BootDelayIsHonored) {
     got = id;
     ready_at = world.now();
   });
-  world.loop().run_until(1.0);
+  ASSERT_TRUE(world.loop().run_until(1.0));
   EXPECT_EQ(got, kInvalidNode);  // still booting
-  world.loop().run_until(2.0);
+  ASSERT_TRUE(world.loop().run_until(2.0));
   EXPECT_NE(got, kInvalidNode);
   EXPECT_NEAR(ready_at, 1.5, 1e-9);
   EXPECT_TRUE(world.network().is_attached(got));
@@ -42,7 +42,7 @@ TEST(CloudProvider, PlacementCyclesDomains) {
   CloudProvider provider(world, cfg);
   std::vector<NodeId> ids;
   provider.provision_many(6, [&](std::vector<NodeId> got) { ids = got; });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run_until(1.0));
   ASSERT_EQ(ids.size(), 6u);
   std::vector<std::int32_t> domains;
   for (const NodeId id : ids) domains.push_back(world.network().nic(id).domain);
@@ -58,7 +58,7 @@ TEST(CloudProvider, RecycleDetachesInstance) {
   CloudProvider provider(world, cfg);
   NodeId id = kInvalidNode;
   provider.provision([&](NodeId got) { id = got; });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run_until(1.0));
   provider.recycle(id);
   EXPECT_FALSE(world.network().is_attached(id));
   EXPECT_EQ(provider.active(), 0);

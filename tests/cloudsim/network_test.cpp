@@ -38,7 +38,7 @@ TEST(Network, DeliversWithPropagationDelay) {
   auto* b = world.spawn<SinkNode>(fast_nic(0.020), "b");
   world.network().send(
       {a->id(), b->id(), MessageType::kHttpGet, 100, HttpGetPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   // one-way = 0.010 + 0.020 + intra-domain extra (0.0005) + serialization.
   EXPECT_NEAR(b->arrivals[0].time, 0.0305, 0.001);
@@ -51,7 +51,7 @@ TEST(Network, InterDomainCostsMore) {
   auto* c = world.spawn<SinkNode>(fast_nic(0.01, 1), "c-other");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({a->id(), c->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   ASSERT_EQ(c->arrivals.size(), 1u);
   EXPECT_GT(c->arrivals[0].time, b->arrivals[0].time + 0.02);
@@ -66,7 +66,7 @@ TEST(Network, BandwidthSerializesLargeTransfers) {
   // 500 KB at 1 MB/s (on the 90% data lane) ~ 0.55s.
   world.network().send(
       {a->id(), b->id(), MessageType::kHttpResponse, 500'000, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 1u);
   EXPECT_NEAR(b->arrivals[0].time, 0.5 / 0.9, 0.05);
 }
@@ -82,7 +82,7 @@ TEST(Network, BackToBackTransfersQueueFifo) {
     world.network().send(
         {a->id(), b->id(), MessageType::kHttpResponse, 100'000, {}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 3u);
   const double unit = b->arrivals[0].time;
   EXPECT_NEAR(b->arrivals[1].time, 2 * unit, 0.01);
@@ -100,7 +100,7 @@ TEST(Network, TailDropsWhenQueueExceedsLimit) {
     world.network().send(
         {a->id(), b->id(), MessageType::kHttpResponse, 100'000, {}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_LT(b->arrivals.size(), 10u);
   EXPECT_GT(world.network().stats().dropped_egress, 40u);
 }
@@ -119,7 +119,7 @@ TEST(Network, PriorityLaneBypassesDataBacklog) {
   }
   world.network().send({a->id(), b->id(), MessageType::kWsPush, 128,
                         WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   // The WsPush must arrive before most of the bulk data.
   SimTime push_time = -1.0;
   std::size_t arrived_before_push = 0;
@@ -141,7 +141,7 @@ TEST(Network, DetachedReceiverDropsTraffic) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.retire(b->id());
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
   EXPECT_EQ(world.network().stats().dropped_detached, 1u);
 }
@@ -152,7 +152,7 @@ TEST(Network, InFlightTrafficToRetiredNodeIsDropped) {
   auto* b = world.spawn<SinkNode>(fast_nic(0.05), "b");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.loop().schedule_at(0.01, [&] { world.retire(b->id()); });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
 }
 
@@ -162,7 +162,7 @@ TEST(Network, StatsCountDeliveries) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({b->id(), a->id(), MessageType::kHttpGet, 200, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(world.network().stats().delivered, 2u);
   EXPECT_EQ(world.network().stats().bytes_delivered, 300);
 }
@@ -183,7 +183,7 @@ TEST(Network, DetachedDropsAreCountedExactlyOnce) {
     world.retire(b->id());
     world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   const auto& stats = world.network().stats();
   EXPECT_EQ(stats.sends, 4u);
   EXPECT_EQ(stats.dropped_detached, 4u);
@@ -205,7 +205,7 @@ TEST(NetworkFaults, InjectedLossHitsOnlyTheConfiguredLane) {
     world.network().send(
         {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
   }
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   ASSERT_EQ(b->arrivals.size(), 5u);
   for (const auto& ar : b->arrivals) {
     EXPECT_EQ(ar.type, MessageType::kWsPush);
@@ -227,7 +227,7 @@ TEST(NetworkFaults, DuplicationDeliversAnExtraCopy) {
   auto* b = world.spawn<SinkNode>(fast_nic(), "b");
   world.network().send(
       {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(b->arrivals.size(), 2u);  // original + injected copy
   const auto& stats = world.network().stats();
   EXPECT_EQ(stats.sends, 1u);
@@ -248,7 +248,7 @@ TEST(NetworkFaults, LinkFlapWindowDropsThenRecovers) {
   world.loop().schedule_at(2.0, [&] {
     world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   });
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_EQ(b->arrivals.size(), 1u);  // only the post-flap send
   EXPECT_EQ(injector.stats().drops_flap, 1u);
   EXPECT_TRUE(world.network().stats().conserved());
@@ -266,7 +266,7 @@ TEST(NetworkFaults, NodeScopedFlapSparesOtherTraffic) {
   world.network().set_fault_injector(&injector);
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send({a->id(), c->id(), MessageType::kHttpGet, 100, {}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   EXPECT_TRUE(b->arrivals.empty());
   EXPECT_EQ(c->arrivals.size(), 1u);
   EXPECT_EQ(injector.stats().drops_flap, 1u);
@@ -316,7 +316,7 @@ TEST(NetworkProperty, ConservationHoldsUnderFuzzedTrafficAndFaults) {
       world.loop().schedule_at(
           t, [&] { EXPECT_TRUE(world.network().stats().conserved()); });
     }
-    world.loop().run();
+    ASSERT_TRUE(world.loop().run());
 
     const auto& stats = world.network().stats();
     EXPECT_TRUE(stats.conserved()) << "seed " << seed;
@@ -339,7 +339,7 @@ TEST(NetworkFaults, TraceRecordsEveryResolution) {
   world.network().send({a->id(), b->id(), MessageType::kHttpGet, 100, {}});
   world.network().send(
       {a->id(), b->id(), MessageType::kWsPush, 128, WsPushPayload{}});
-  world.loop().run();
+  ASSERT_TRUE(world.loop().run());
   const auto& trace = world.network().trace();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].outcome, NetTraceEvent::Outcome::kDroppedFaulted);

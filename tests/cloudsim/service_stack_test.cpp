@@ -43,7 +43,7 @@ struct Stack {
 TEST(ServiceStack, FullJoinFlowConnectsClient) {
   Stack s;
   auto* c = s.add_client("1.1.1.1");
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   EXPECT_TRUE(c->connected());
   EXPECT_NE(c->current_replica(), kInvalidNode);
   EXPECT_EQ(c->stats().page_loads.size(), 1u);
@@ -55,7 +55,7 @@ TEST(ServiceStack, RoundRobinSpreadsClients) {
   Stack s;
   auto* c1 = s.add_client("1.1.1.1", 0.0);
   auto* c2 = s.add_client("2.2.2.2", 0.1);
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   ASSERT_TRUE(c1->connected());
   ASSERT_TRUE(c2->connected());
   EXPECT_NE(c1->current_replica(), c2->current_replica());
@@ -65,11 +65,11 @@ TEST(ServiceStack, RoundRobinSpreadsClients) {
 TEST(ServiceStack, StickySessionsPinReturningIps) {
   Stack s;
   auto* c1 = s.add_client("1.1.1.1", 0.0);
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   const NodeId home = c1->current_replica();
   // The same IP joining again (e.g. after a browser restart) goes home.
   auto* again = s.add_client("1.1.1.1", 0.0);
-  s.world.loop().run_until(10.0);
+  ASSERT_TRUE(s.world.loop().run_until(10.0));
   EXPECT_EQ(again->current_replica(), home);
   EXPECT_GE(s.lb->stats().sticky_hits, 1u);
 }
@@ -92,7 +92,7 @@ TEST(ServiceStack, NonWhitelistedRequestsAreDropped) {
   auto* prober = s.world.spawn<Prober>(nic(), "prober");
   prober->target = s.r1->id();
   prober->on_start();
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   EXPECT_EQ(prober->responses, 0);
   EXPECT_GE(s.r1->stats().rejected_not_whitelisted, 1u);
 }
@@ -101,7 +101,7 @@ TEST(ServiceStack, LoadBalancerSkipsRecycledReplicas) {
   Stack s;
   s.world.retire(s.r1->id());
   auto* c = s.add_client("3.3.3.3");
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   ASSERT_TRUE(c->connected());
   EXPECT_EQ(c->current_replica(), s.r2->id());
 }
@@ -111,7 +111,7 @@ TEST(ServiceStack, NoReplicasMeansRejection) {
   s.lb->remove_replica(s.r1->id());
   s.lb->remove_replica(s.r2->id());
   auto* c = s.add_client("4.4.4.4");
-  s.world.loop().run_until(3.0);
+  ASSERT_TRUE(s.world.loop().run_until(3.0));
   EXPECT_FALSE(c->connected());
   EXPECT_GE(s.lb->stats().rejected_no_replica, 1u);
 }
@@ -120,7 +120,7 @@ TEST(ServiceStack, ShuffleCommandMigratesClientViaWsPush) {
   Stack s;
   s.lb->remove_replica(s.r2->id());  // force everyone onto r1
   auto* c = s.add_client("5.5.5.5");
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   ASSERT_TRUE(c->connected());
   ASSERT_EQ(c->current_replica(), s.r1->id());
 
@@ -137,7 +137,7 @@ TEST(ServiceStack, ShuffleCommandMigratesClientViaWsPush) {
               kControlMessageBytes, cmd};
     s.world.network().send(std::move(m));
   });
-  s.world.loop().run_until(15.0);
+  ASSERT_TRUE(s.world.loop().run_until(15.0));
   EXPECT_EQ(c->current_replica(), s.r2->id());
   EXPECT_TRUE(c->connected());
   ASSERT_EQ(c->stats().migrations.size(), 1u);
@@ -151,7 +151,7 @@ TEST(ServiceStack, ComputationalAttackRaisesCpuBacklog) {
   Stack s;
   s.lb->remove_replica(s.r2->id());
   auto* c = s.add_client("7.7.7.7");
-  s.world.loop().run_until(5.0);
+  ASSERT_TRUE(s.world.loop().run_until(5.0));
   ASSERT_TRUE(c->connected());
   // Whitelisted heavy requests burn server CPU.
   for (int i = 0; i < 10; ++i) {
@@ -160,7 +160,7 @@ TEST(ServiceStack, ComputationalAttackRaisesCpuBacklog) {
               HeavyRequestPayload{s.world.intern_ip("7.7.7.7"), 0.3}};
     s.world.network().send(std::move(m));
   }
-  s.world.loop().run_until(5.5);
+  ASSERT_TRUE(s.world.loop().run_until(5.5));
   EXPECT_GT(s.r1->cpu_backlog_s(), 0.5);
   EXPECT_GT(s.r1->stats().shed_cpu_overload, 0u);  // queue limit kicked in
 }
@@ -173,7 +173,7 @@ TEST(ServiceStack, DnsUnknownServiceTimesOutClient) {
   cc.dns = s.dns->id();
   cc.request_timeout_s = 0.5;
   auto* c = s.world.spawn<ClientAgent>(nic(), "lost-client", cc);
-  s.world.loop().run_until(4.0);
+  ASSERT_TRUE(s.world.loop().run_until(4.0));
   EXPECT_FALSE(c->connected());
   EXPECT_GT(c->stats().timeouts, 0);
 }

@@ -58,7 +58,7 @@ TEST(Spoofing, UnroutableClaimedIpIsDroppedAtTheBalancer) {
   Rig rig;
   auto* bot = rig.world.spawn<SpoofingBot>(nic(), "spoofer", rig.lb->id(),
                                            "203.0.113.99");
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   EXPECT_EQ(bot->learned_replica(), kInvalidNode);
   EXPECT_GE(rig.lb->stats().rejected_spoofed, 1u);
   EXPECT_EQ(rig.lb->stats().assignments, 0u);
@@ -72,14 +72,14 @@ TEST(Spoofing, StolenIpSendsTheRedirectToItsRealOwner) {
   cc.ip = "1.2.3.4";
   cc.dns = rig.dns->id();
   auto* victim = rig.world.spawn<ClientAgent>(nic(0.02), "victim", cc);
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   ASSERT_TRUE(victim->connected());
 
   // … and a bot claims it.  The redirect is routed to the victim, so the
   // bot learns nothing and the victim's session is undisturbed.
   auto* bot = rig.world.spawn<SpoofingBot>(nic(), "spoofer", rig.lb->id(),
                                            "1.2.3.4");
-  rig.world.loop().run_until(6.0);
+  ASSERT_TRUE(rig.world.loop().run_until(6.0));
   EXPECT_EQ(bot->learned_replica(), kInvalidNode);
   EXPECT_TRUE(victim->connected());
   EXPECT_EQ(victim->current_replica(), rig.replica->id());
@@ -92,7 +92,7 @@ TEST(Spoofing, WhitelistKeysToTheIpOwnerNode) {
   cc.ip = "9.9.9.9";
   cc.dns = rig.dns->id();
   auto* client = rig.world.spawn<ClientAgent>(nic(0.02), "client", cc);
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   ASSERT_TRUE(client->connected());
   const auto clients = rig.replica->connected_clients();
   ASSERT_EQ(clients.size(), 1u);
@@ -118,7 +118,7 @@ TEST(Spoofing, ReconnaissanceProbeGetsNoService) {
   Message m{prober->id(), rig.replica->id(), MessageType::kHttpGet,
             kHttpRequestBytes, HttpGetPayload{rig.world.intern_ip("8.8.4.4")}};
   rig.world.network().send(std::move(m));
-  rig.world.loop().run_until(3.0);
+  ASSERT_TRUE(rig.world.loop().run_until(3.0));
   EXPECT_EQ(prober->responses, 0);
   EXPECT_GE(rig.replica->stats().rejected_not_whitelisted, 1u);
 }
