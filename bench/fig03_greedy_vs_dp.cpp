@@ -6,7 +6,7 @@
 //   * the greedy planner (paper §IV-C),
 //   * the optimal fixed-plan dynamic program (achievable optimum), and
 //   * (scaled instances only) the paper's Algorithm 1 value, an adaptive
-//     upper bound — see DESIGN.md §6.
+//     upper bound — see DESIGN.md §7.1.
 //
 // The paper's finding to reproduce: the greedy and DP curves overlap.
 #include <array>
@@ -107,9 +107,7 @@ int main(int argc, char** argv) {
           const core::ShuffleProblem problem{n1, m, p};
           const core::GreedyPlanner greedy;
           const core::SeparableDpPlanner dp;
-          const core::AlgorithmOnePlanner alg1(
-              core::AlgorithmOneOptions{.threads = 1,
-                                        .registry = cell.registry});
+          const core::AlgorithmOnePlanner alg1(cell.registry);
           return std::array<double, 3>{
               core::expected_saved(problem, greedy.plan(problem)),
               dp.value(problem), alg1.value(problem)};

@@ -18,12 +18,10 @@
 #include <utility>
 
 #include "core/algorithm_one.h"
-#include "core/planner_cache.h"
 #include "core/separable_dp.h"
 #include "shuffle_series.h"
 #include "util/flags.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace shuffledef;
@@ -34,22 +32,6 @@ int main(int argc, char** argv) {
                     "Figure 5: running time of the DP algorithm");
   auto& scaled_n = flags.add_int("scaled-clients", 100,
                                  "N for the measured Algorithm-1 grid");
-  auto& parallel_n = flags.add_int(
-      "parallel-clients", 400,
-      "N for the serial-vs-parallel sweep (use 10000+ on a many-core host; "
-      "pair with --a-cap/--tail-epsilon to keep the per-cell cost bounded)");
-  auto& threads_flag = flags.add_int(
-      "threads", 0, "threads for the parallel sweep (0 = hardware)");
-  auto& a_cap_flag = flags.add_int(
-      "a-cap", 32, "a_cap acceleration for the serial-vs-parallel sweep");
-  auto& tail_flag = flags.add_double(
-      "tail-epsilon", 1e-12,
-      "tail truncation for the serial-vs-parallel sweep");
-  auto& warm_rounds_flag = flags.add_int(
-      "warm-rounds", 3,
-      "rounds of the warm-start re-planning trajectory (0 = skip): after a "
-      "cold Algorithm-1 solve, each round drifts N and re-plans against the "
-      "retained DP tables");
   // Timing bench: parallel cells contend for cores and inflate each other's
   // measured ms, so the grid defaults to serial; --jobs > 1 trades timing
   // fidelity for wall-clock when only the extrapolation shape matters.
@@ -87,10 +69,7 @@ int main(int argc, char** argv) {
     const auto [pr, mr] = grid[cell.index];
     const auto p = static_cast<Count>(pr * static_cast<double>(n));
     const auto m = static_cast<Count>(mr * static_cast<double>(n));
-    // Per-cell planner: AlgorithmOnePlanner's lazy thread pool is not safe
-    // to share across concurrent solves.
-    core::AlgorithmOnePlanner alg1(
-        core::AlgorithmOneOptions{.threads = 1, .registry = cell.registry});
+    const core::AlgorithmOnePlanner alg1(cell.registry);
     util::Timer timer;
     (void)alg1.value({n, m, p});
     return timer.elapsed_ms();
@@ -125,124 +104,10 @@ int main(int argc, char** argv) {
   }
   t2.print_with_csv();
 
-  // Serial vs parallel: the same Algorithm-1 problems solved with
-  // threads = 1 and with the chunked thread pool.  The values must agree
-  // bit-for-bit (the parallel sweep only re-orders independent cells).
-  {
-    // Below ~20 clients the ratio-derived (M, P) grid degenerates (bots >
-    // clients); clamp rather than crash on a tiny --parallel-clients.
-    const Count pn = std::max<Count>(parallel_n, 20);
-    const std::size_t hw = util::ThreadPool::shared().thread_count();
-    const auto threads =
-        threads_flag > 0 ? static_cast<std::size_t>(threads_flag) : hw;
-    core::AlgorithmOneOptions serial_opts;
-    serial_opts.threads = 1;
-    serial_opts.a_cap = a_cap_flag;
-    serial_opts.tail_epsilon = tail_flag;
-    core::AlgorithmOneOptions parallel_opts = serial_opts;
-    parallel_opts.threads = static_cast<Count>(threads);
-    core::AlgorithmOnePlanner serial(serial_opts);
-    core::AlgorithmOnePlanner parallel(parallel_opts);
-
-    util::Table t3("Figure 5 (engineering) — Algorithm 1 serial vs parallel "
-                   "(" + std::to_string(threads) + " threads) at N = " +
-                   std::to_string(pn));
-    t3.set_headers({"replicas", "bots", "serial ms", "parallel ms", "speedup",
-                    "bit-identical"});
-    for (const double pr : {0.02, 0.05}) {
-      for (const double mr : {0.05, 0.1}) {
-        const auto p = std::max<Count>(
-            2, static_cast<Count>(pr * static_cast<double>(pn)));
-        const auto m = std::max<Count>(
-            1, static_cast<Count>(mr * static_cast<double>(pn)));
-        util::Timer ts;
-        const double v_serial = serial.value({pn, m, p});
-        const double serial_ms = ts.elapsed_ms();
-        util::Timer tp;
-        const double v_parallel = parallel.value({pn, m, p});
-        const double parallel_ms = tp.elapsed_ms();
-        t3.add_row({util::fmt(p), util::fmt(m), util::fmt(serial_ms, 1),
-                    util::fmt(parallel_ms, 1),
-                    util::fmt(serial_ms / std::max(parallel_ms, 1e-9), 2),
-                    v_serial == v_parallel ? "yes" : "NO (BUG)"});
-      }
-    }
-    t3.print_with_csv();
-  }
-
-  // Warm-start re-planning trajectory: the online loop this PR's solver
-  // rewrite targets.  One cold solve retains the full DP layer stack; each
-  // subsequent round drifts N (clients joining) and re-plans, which only
-  // extends the new table cells.  Values are checked bit-identical against
-  // a cold planner every round.
-  if (warm_rounds_flag > 0) {
-    const Count pn = std::max<Count>(parallel_n, 20);
-    const auto p = std::max<Count>(2, pn / 50);
-    const auto m = std::max<Count>(1, pn / 20);
-    core::AlgorithmOneOptions warm_opts;
-    warm_opts.threads = 1;
-    warm_opts.tail_epsilon = tail_flag;
-    core::AlgorithmOnePlanner warm(warm_opts);
-    core::AlgorithmOneOptions cold_opts = warm_opts;
-    cold_opts.warm_start = false;
-    core::AlgorithmOnePlanner cold(cold_opts);
-
-    util::Table t5("Figure 5 (engineering) — Algorithm 1 warm-start "
-                   "re-planning over " + std::to_string(warm_rounds_flag) +
-                   " drifted rounds at N ~ " + std::to_string(pn));
-    t5.set_headers({"round", "clients", "warm ms", "cold ms", "speedup",
-                    "bit-identical"});
-    Count n_round = pn;
-    for (int round = 0; round <= warm_rounds_flag; ++round) {
-      util::Timer warm_timer;
-      const double v_warm = warm.value({n_round, m, p});
-      const double warm_ms = warm_timer.elapsed_ms();
-      util::Timer cold_timer;
-      const double v_cold = cold.value({n_round, m, p});
-      const double cold_ms = cold_timer.elapsed_ms();
-      t5.add_row({round == 0 ? std::string("cold")
-                              : util::fmt(static_cast<Count>(round)),
-                  util::fmt(n_round),
-                  util::fmt(warm_ms, 1), util::fmt(cold_ms, 1),
-                  util::fmt(cold_ms / std::max(warm_ms, 1e-9), 2),
-                  v_warm == v_cold ? "yes" : "NO (BUG)"});
-      n_round += std::max<Count>(1, pn / 100);
-    }
-    t5.print_with_csv();
-  }
-
-  // Planner-result cache: a steady-state shuffle loop re-solves a handful
-  // of recurring (N, M, P) problems; the LRU turns repeats into lookups.
-  {
-    core::PlannerCache cache(64);
-    core::AlgorithmOnePlanner alg1_cached;
-    const std::vector<core::ShuffleProblem> recurring = {
-        {60, 12, 6}, {55, 11, 6}, {60, 12, 6}, {50, 10, 5}, {60, 12, 6},
-        {55, 11, 6}, {60, 12, 6}, {50, 10, 5}, {55, 11, 6}, {60, 12, 6}};
-    util::Timer uncached_timer;
-    for (const auto& problem : recurring) (void)alg1_cached.value(problem);
-    const double uncached_ms = uncached_timer.elapsed_ms();
-    util::Timer cached_timer;
-    for (const auto& problem : recurring) {
-      const core::PlannerCacheKey key{"algorithm1", problem};
-      if (!cache.get_value(key)) {
-        cache.put_value(key, alg1_cached.value(problem));
-      }
-    }
-    const double cached_ms = cached_timer.elapsed_ms();
-    util::Table t4("Figure 5 (engineering) — PlannerCache on a recurring "
-                   "10-solve sequence (3 distinct problems)");
-    t4.set_headers({"mode", "total ms", "cache hit rate"});
-    t4.add_row({"uncached", util::fmt(uncached_ms, 1), "-"});
-    t4.add_row({"LRU cache", util::fmt(cached_ms, 1),
-                util::fmt(cache.hit_rate(), 2)});
-    t4.print_with_csv();
-  }
-
   metrics_export.write_if_requested([&] { return sweep_metrics; });
   std::cout << "Reproduction check: Algorithm-1 runtimes grow with M and P "
                "and scale ~N^4 at fixed ratios, putting the N=1000 grid in "
-               "the 10^5..10^6 ms range for this compiled implementation — "
+               "the 10^4..10^6 ms range for this compiled implementation — "
                "the same 'tens of hours vs milliseconds' verdict as the "
                "paper's Figure 5/6 contrast once the ~10^3x Matlab-to-C++ "
                "constant is accounted for.  The separable DP answers the "

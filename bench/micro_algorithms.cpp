@@ -4,15 +4,10 @@
 // Figures 5/6.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <iostream>
+#include <algorithm>
 #include <optional>
-#include <string>
+#include <vector>
 
-#include "bench_json.h"
-#include "core/algorithm_one.h"
 #include "core/greedy_planner.h"
 #include "core/mle_estimator.h"
 #include "core/separable_dp.h"
@@ -22,7 +17,6 @@
 #include "obs/span.h"
 #include "sim/shuffle_sim.h"
 #include "util/random.h"
-#include "util/timer.h"
 
 using namespace shuffledef;
 using core::Count;
@@ -65,52 +59,6 @@ BENCHMARK(BM_SeparableDpPlan)
     ->ArgNames({"N", "P", "M"})
     ->ArgsProduct({{10000}, {10, 20}, {1, 3, 1000}})
     ->Unit(benchmark::kMillisecond);
-
-void BM_AlgorithmOneValue(benchmark::State& state) {
-  // Second arg: thread count (1 = serial sweep, 0 = shared pool/hardware).
-  // Third arg: 1 = record into an obs::Registry (the instrumented-overhead
-  // comparison; 0 = null handles, the uninstrumented baseline).
-  obs::Registry registry;
-  core::AlgorithmOneOptions opts;
-  opts.threads = state.range(1);
-  opts.registry = state.range(2) != 0 ? &registry : nullptr;
-  const core::ShuffleProblem problem{state.range(0), state.range(0) / 2,
-                                     state.range(0) / 5};
-  core::AlgorithmOnePlanner planner(opts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.value(problem));
-  }
-}
-BENCHMARK(BM_AlgorithmOneValue)
-    ->Args({30, 1, 0})
-    ->Args({60, 1, 0})
-    ->Args({90, 1, 0})
-    ->Args({60, 0, 0})   // parallel, hardware threads
-    ->Args({90, 0, 0})
-    ->Args({60, 1, 1})   // instrumented vs {60, 1, 0}
-    ->Args({90, 1, 1})
-    ->Args({90, 0, 1});
-
-void BM_AlgorithmOneSymmetry(benchmark::State& state) {
-  // Second arg: 1 = exchangeability symmetry cut on, 0 = full candidate
-  // sweep.  Exact-mode (tail_epsilon = 0) so the two variants answer the
-  // same question and the ratio isolates the cut.
-  core::AlgorithmOneOptions opts;
-  opts.threads = 1;
-  opts.tail_epsilon = 0.0;
-  opts.symmetry_cut = state.range(1) != 0;
-  const core::ShuffleProblem problem{state.range(0), state.range(0) / 2,
-                                     state.range(0) / 5};
-  core::AlgorithmOnePlanner planner(opts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(planner.value(problem));
-  }
-}
-BENCHMARK(BM_AlgorithmOneSymmetry)
-    ->Args({60, 0})
-    ->Args({60, 1})
-    ->Args({90, 0})
-    ->Args({90, 1});
 
 void BM_ControllerDecide(benchmark::State& state) {
   // One controller decision per iteration over a recurring set of pool
@@ -229,149 +177,6 @@ void BM_EventLoopThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopThroughput)->Unit(benchmark::kMillisecond);
 
-/// Times one Algorithm-1 solve with and without the symmetry cut and
-/// records the pair (plus the relative value difference, which should sit
-/// at rounding noise) into `out` under `prefix`.
-void symmetry_pair(bench::BenchJson& out, const std::string& prefix,
-                   const core::ShuffleProblem& problem, double tail_epsilon) {
-  core::AlgorithmOneOptions opts;
-  opts.threads = 1;
-  opts.tail_epsilon = tail_epsilon;
-
-  opts.symmetry_cut = false;
-  core::AlgorithmOnePlanner uncut(opts);
-  util::Timer uncut_timer;
-  const double v_uncut = uncut.value(problem);
-  const double uncut_ms = uncut_timer.elapsed_ms();
-
-  opts.symmetry_cut = true;
-  core::AlgorithmOnePlanner cut(opts);
-  util::Timer cut_timer;
-  const double v_cut = cut.value(problem);
-  const double cut_ms = cut_timer.elapsed_ms();
-
-  const double rel_diff =
-      std::abs(v_cut - v_uncut) / std::max(std::abs(v_uncut), 1e-300);
-  out.set(prefix + "_clients", static_cast<std::int64_t>(problem.clients));
-  out.set(prefix + "_bots", static_cast<std::int64_t>(problem.bots));
-  out.set(prefix + "_replicas", static_cast<std::int64_t>(problem.replicas));
-  out.set(prefix + "_tail_epsilon", tail_epsilon);
-  out.set(prefix + "_uncut_ms", uncut_ms);
-  out.set(prefix + "_cut_ms", cut_ms);
-  out.set(prefix + "_speedup", cut_ms > 0.0 ? uncut_ms / cut_ms : 0.0);
-  out.set(prefix + "_rel_value_diff", rel_diff);
-  std::cout << prefix << ": uncut " << uncut_ms << " ms, cut " << cut_ms
-            << " ms, speedup "
-            << (cut_ms > 0.0 ? uncut_ms / cut_ms : 0.0) << "x, rel diff "
-            << rel_diff << "\n";
-}
-
-/// The online re-planning pipeline at paper scale (N = 10^4, M = 10,
-/// P = 10): one cold solve, then warm re-plans against drifted rounds —
-/// N drift with the same M (the steady-state case the sub-second target
-/// applies to) and an M-drift extension (a full new bot row, inherently
-/// costlier).  Records solve times, the pruned share of kernel candidates,
-/// and kernel/warm counters.  `max_warm_ms > 0` turns the N-drift warm
-/// re-plan into a hard gate (nonzero exit) for the CI perf smoke.
-bool paper_scale_pipeline(bench::BenchJson& out, double max_warm_ms) {
-  obs::Registry registry;
-  core::AlgorithmOneOptions opts;
-  opts.threads = 1;
-  opts.tail_epsilon = 1e-12;
-  opts.registry = &registry;
-  core::AlgorithmOnePlanner planner(opts);
-
-  util::Timer cold_timer;
-  const double v_cold = planner.value({10000, 10, 10});
-  const double cold_ms = cold_timer.elapsed_ms();
-
-  util::Timer warm_timer;
-  const double v_warm = planner.value({10050, 10, 10});
-  const double warm_ms = warm_timer.elapsed_ms();
-
-  util::Timer hit_timer;
-  const double v_hit = planner.value({9900, 10, 10});
-  const double hit_ms = hit_timer.elapsed_ms();
-
-  util::Timer mext_timer;
-  const double v_mext = planner.value({10050, 11, 10});
-  const double mext_ms = mext_timer.elapsed_ms();
-
-  const auto snap = registry.snapshot();
-  const auto pruned = snap.counter("planner.algorithm1.pruned_candidates");
-  const auto cands = snap.counter("planner.algorithm1.kernel_candidates");
-  const double pruned_pct =
-      cands > 0 ? 100.0 * static_cast<double>(pruned) /
-                      static_cast<double>(cands)
-                : 0.0;
-
-  out.set("paper_scale_cold_ms", cold_ms);
-  out.set("paper_scale_warm_ms", warm_ms);
-  out.set("paper_scale_warm_hit_ms", hit_ms);
-  out.set("paper_scale_warm_mext_ms", mext_ms);
-  out.set("paper_scale_pruned_pct", pruned_pct);
-  out.set("paper_scale_pruned_candidates", pruned);
-  out.set("paper_scale_kernel_candidates", cands);
-  out.set("paper_scale_kernel_cells",
-          snap.counter("planner.algorithm1.kernel_cells"));
-  out.set("paper_scale_warm_hits",
-          snap.counter("planner.algorithm1.warm_hits"));
-  out.set("paper_scale_warm_extensions",
-          snap.counter("planner.algorithm1.warm_extensions"));
-  out.set("paper_scale_kernel_cands_per_ms",
-          cold_ms > 0.0 ? static_cast<double>(cands) / cold_ms : 0.0);
-  out.set("paper_scale_cold_value", v_cold);
-  std::cout << "paper_scale pipeline: cold " << cold_ms << " ms, warm(N+50) "
-            << warm_ms << " ms, warm hit(N-100) " << hit_ms
-            << " ms, warm(M+1) " << mext_ms << " ms, pruned " << pruned_pct
-            << "% of " << cands << " kernel candidates\n";
-  // Self-check, not a benchmark: the warm values must be reachable cold.
-  (void)v_warm;
-  (void)v_hit;
-  (void)v_mext;
-  if (max_warm_ms > 0.0 && warm_ms > max_warm_ms) {
-    std::cerr << "FAIL: paper-scale warm re-plan took " << warm_ms
-              << " ms (gate: " << max_warm_ms << " ms)\n";
-    return false;
-  }
-  return true;
-}
-
-/// Perf-trajectory mode: the paper-scale cold/warm re-planning pipeline
-/// (with its pruning counters), then the historical symmetry-cut pairs —
-/// paper scale and a smaller exact-mode (tail_epsilon = 0) pair where the
-/// cut is the only approximation-free difference.
-int run_bench_json(const std::string& path, double max_warm_ms) {
-  bench::BenchJson out;
-  out.set("bench", std::string("micro_algorithms"));
-  const bool warm_ok = paper_scale_pipeline(out, max_warm_ms);
-  symmetry_pair(out, "paper_scale", {10000, 10, 10}, 1e-12);
-  symmetry_pair(out, "exact_mode", {400, 40, 10}, 0.0);
-  if (!out.write(path)) return 1;
-  return warm_ok ? 0 : 2;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // `--bench-json <path>` bypasses google-benchmark and runs the
-  // re-planning + symmetry-cut perf trajectory instead (see
-  // EXPERIMENTS.md).  `--max-warm-ms <ms>` makes the paper-scale warm
-  // re-plan a hard gate (exit 2) for the CI perf smoke.
-  double max_warm_ms = 0.0;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-warm-ms") == 0) {
-      max_warm_ms = std::atof(argv[i + 1]);
-    }
-  }
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--bench-json") == 0) {
-      return run_bench_json(argv[i + 1], max_warm_ms);
-    }
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

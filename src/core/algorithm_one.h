@@ -7,57 +7,10 @@
 //   Pr(b | a)  = C(m, b) * C(n-m, a-b) / C(n, a)          (hypergeometric)
 //
 // and is solved bottom-up, exactly as the paper's Algorithm 1 builds the
-// save_no / assign_no lookup tables.  The paper quotes O(N^3 M^2 P) time and
-// reports tens of hours in Matlab for N = 1000.  This implementation is the
-// production solver, rebuilt around three mechanisms (the pre-rewrite solver
-// is frozen verbatim as ReferenceAlgorithmOne and every mechanism is pinned
-// against it by the differential battery in tests/core/planner_oracle_test):
-//
-//   * Batched pmf-walk kernel.  Layers are stored [m][n] so one "b-pass"
-//     streams contiguously over the whole candidate block of a cell: the
-//     hypergeometric start Pr(b=0 | a) is maintained across m by a
-//     division-free cross-m recurrence, and the per-term pmf update uses a
-//     reciprocal table, so the inner loops are flat fma/mul streams the
-//     compiler auto-vectorizes (the serial reference walks one candidate at
-//     a time through a ~25-cycle divide dependency chain).
-//
-//   * Provably-safe branch-and-bound pruning (AlgorithmOneOptions::prune).
-//     Candidate upper bounds combine exact leading pmf terms (the b = 0
-//     partial sum, plus the exact b = 1 term weighted by its true
-//     continuation value) with the capacity bound S(nu, mu) <= S(nu, 0) =
-//     nu (monotonicity of the value function in the bot count, at its
-//     extreme point) and a column-max bound over the previous layer's
-//     reachable rows; a candidate is
-//     discarded only when its bound falls a safety margin below an
-//     incumbent that is itself a proven lower bound (a partial sum of
-//     nonnegative terms).  Values and plans are bit-identical with pruning
-//     on or off; verify_pruning additionally recomputes every pruned
-//     candidate's true value and throws if any could have beaten the
-//     incumbent (property-tested in tests/core/pruning_safety_test).
-//
-//   * Cross-round DP warm-starting (AlgorithmOneOptions::warm_start).  A
-//     cell S(n, m, p) does not depend on the problem's top-level (N, M), so
-//     the full layer stack from a previous solve — keyed by (P, options
-//     fingerprint) — is reused verbatim when the next round's (N, M) fits
-//     inside it (a pure table lookup) and extended incrementally when N or
-//     the MLE-estimated M drifted upward.  Warm and cold solves are
-//     bit-identical because extension runs the same per-cell kernel over
-//     the new cells only.
-//
-// Exactness-preserving accelerations retained from the original solver,
-// semantics unchanged (see ReferenceAlgorithmOne for the frozen originals):
-//   * hypergeometric tail truncation past the mode (tail_epsilon; 0 = exact);
-//   * the a_cap candidate cap (a genuine heuristic; tests bound the loss);
-//   * the exchangeability symmetry cut (symmetry_cut, default on): uniform
-//     placement gives Pr(b | draws=a) = Pr(m-b | draws=n-a), so the mirror
-//     candidate's value V(n-a) shares the pmf walk of the lower candidate.
-//     Exact in real arithmetic; upper-half values may differ from the uncut
-//     loop in the last ulps (tests pin 1e-9 relative and exhaustively on
-//     small grids);
-//   * the per-layer (n, m) cell sweep runs on a chunked thread pool
-//     (AlgorithmOneOptions::threads) with fixed chunk boundaries — cells of
-//     one layer only read the previous layer, so the parallel sweep is
-//     bit-identical to the serial one at any thread count.
+// save_no / assign_no lookup tables: a plain, serial transcription that
+// scans every candidate a and every b.  The paper quotes O(N^3 M^2 P) time
+// and reports tens of hours in Matlab for N = 1000; here it serves the
+// Figure 3 inset and Figure 5 at N <= 100, and the tests.
 //
 // Note on semantics: because the recurrence re-optimizes the remaining
 // replicas *conditioned on b* (the bots that landed in the bucket just
@@ -66,94 +19,28 @@
 // tests/core/algorithm_one_test).  No deployable plan is adaptive in this
 // sense (all buckets are cut before the random assignment is realized), so
 // the achievable optimum is the fixed-plan one computed by
-// SeparableDpPlanner in O(P·N^2); the benches report both.
+// SeparableDpPlanner in O(P·N^2), which is what the defense plans with.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "core/planner.h"
 #include "obs/registry.h"
 
-namespace shuffledef::util {
-class ThreadPool;
-}
-
 namespace shuffledef::core {
-
-struct AlgorithmOneOptions {
-  /// Truncate the hypergeometric expectation once pmf < epsilon beyond the
-  /// mode.  0 keeps the full support (exact mode).
-  double tail_epsilon = 0.0;
-  /// Cap the per-level search over a (0 = search all of [1, n-1]).
-  Count a_cap = 0;
-  /// Evaluate split candidates a and n - a from one shared hypergeometric
-  /// walk (see the header comment for the exchangeability identity this
-  /// rests on).  Exact in real arithmetic; upper-half candidate values may
-  /// differ from the uncut loop in the last ulps.  Ignored when a_cap > 0
-  /// (a_cap already restricts the candidate set).  Default on; set false
-  /// to recover the uncut loop bit-for-bit.
-  bool symmetry_cut = true;
-  /// Branch-and-bound pruning of split candidates whose upper bound cannot
-  /// reach the incumbent.  Bounds use only exact partial sums plus safe
-  /// overestimates of the remaining pmf mass (capacity S(nu, mu) <= nu,
-  /// a column-max over the previous layer, and the exact b = 1 term with
-  /// capacity on the rest), and candidates within the safety margin of the
-  /// incumbent are never pruned, so values, plans, and tie-breaks are
-  /// bit-identical with pruning on or off.
-  bool prune = true;
-  /// Debug mode: recompute every pruned candidate's true value after its
-  /// cell resolves and throw std::logic_error if one could have beaten the
-  /// incumbent.  Increments "planner.algorithm1.pruned_rechecks" once per
-  /// recheck so tests can assert recheck count == pruned count.  Costly;
-  /// off by default.
-  bool verify_pruning = false;
-  /// Retain the solved layer stack (values + argmax) inside the planner,
-  /// keyed by (P, options fingerprint), and reuse it across solve calls:
-  /// a later problem that fits inside the retained extent is a pure table
-  /// lookup; a larger N or M extends the tables incrementally (computing
-  /// only the new cells).  Bit-identical to a cold solve.  Falls back to
-  /// the memory-lean rolling two-layer mode when the retained stack would
-  /// exceed warm_memory_limit_bytes.
-  bool warm_start = true;
-  /// Ceiling for the retained warm tables (across all cached (P,
-  /// fingerprint) entries of this planner); least-recently-used entries
-  /// are evicted to stay under it.
-  std::size_t warm_memory_limit_bytes = std::size_t{512} << 20;
-  /// Guard against accidental monster allocations (value + argmax tables).
-  std::size_t memory_limit_bytes = std::size_t{2} << 30;
-  /// Threads for the per-layer cell sweep: 1 = serial (no pool touched),
-  /// 0 = the process-wide util::ThreadPool::shared(), k > 1 = a private
-  /// pool of k threads.  Every cell of a layer depends only on the previous
-  /// layer and carries private accumulators, and rows are handed out as
-  /// fixed-boundary chunks, so the result is bit-identical at any setting.
-  Count threads = 0;
-  /// Observability sink (nullptr = uninstrumented).  Counters
-  /// "planner.algorithm1.{solves,layers,cells}" (as before), plus
-  /// "planner.algorithm1.pruned_candidates" (candidates discarded by the
-  /// branch-and-bound bounds), "planner.algorithm1.pruned_rechecks"
-  /// (verify_pruning audits), "planner.algorithm1.warm_{hits,extensions,
-  /// misses}" (full reuse / incremental extension / cold), and
-  /// "planner.algorithm1.kernel_{candidates,cells}" (work actually routed
-  /// through the batched kernel).  All counts are independent of the
-  /// thread count, so snapshots stay deterministic.
-  obs::Registry* registry = nullptr;
-
-  /// Fingerprint over the value-affecting options (tail_epsilon, a_cap,
-  /// symmetry_cut).  Two option sets with equal fingerprints produce
-  /// bit-identical DP tables, so the fingerprint keys warm-start reuse here
-  /// and PlannerCache keys in ShuffleController::decide.  Execution knobs
-  /// (threads, prune, warm_start, registry, limits) are deliberately
-  /// excluded — they never change values.
-  [[nodiscard]] std::uint64_t fingerprint() const;
-};
 
 class AlgorithmOnePlanner final : public Planner {
  public:
-  explicit AlgorithmOnePlanner(AlgorithmOneOptions options = {});
-  ~AlgorithmOnePlanner() override;
+  /// Largest N the tabular DP accepts.
+  static constexpr Count kMaxClients = 60000;
+  /// Guard against accidental monster allocations (value + argmax tables);
+  /// checked before anything is allocated.
+  static constexpr std::size_t kMemoryLimitBytes = std::size_t{2} << 30;
+
+  /// `registry` (nullptr = uninstrumented) receives the counters
+  /// "planner.algorithm1.{solves,layers,cells}" and the
+  /// "planner.algorithm1.solve" span.
+  explicit AlgorithmOnePlanner(obs::Registry* registry = nullptr);
 
   /// The optimal expected number of benign clients saved, S(N, M, P).
   [[nodiscard]] double value(const ShuffleProblem& problem) const;
@@ -166,42 +53,14 @@ class AlgorithmOnePlanner final : public Planner {
 
   [[nodiscard]] std::string name() const override { return "algorithm1"; }
 
-  /// The options fingerprint (see AlgorithmOneOptions::fingerprint), so
-  /// PlannerCache keys distinguish differently-configured instances.
-  [[nodiscard]] std::uint64_t options_fingerprint() const override {
-    return options_.fingerprint();
-  }
-
-  /// Drop every retained warm-start entry (testing / memory pressure hook).
-  void clear_warm_cache() const;
-
  private:
-  struct Warm;
-  struct SolveResult;
-  class SolveEngine;
-  [[nodiscard]] SolveResult solve(const ShuffleProblem& problem,
-                                  bool keep_argmax) const;
-  [[nodiscard]] util::ThreadPool* pool() const;
+  struct Tables;
+  [[nodiscard]] Tables solve(const ShuffleProblem& problem, bool keep_argmax) const;
 
-  AlgorithmOneOptions options_;
-  // Lazily built private pool when options_.threads > 1 (solve() is const;
-  // the pool is an execution resource, not logical state).
-  mutable std::unique_ptr<util::ThreadPool> private_pool_;
-  // Retained warm-start entries, most-recently-used last.  Solve calls on
-  // one planner instance must not run concurrently (same contract as the
-  // lazy pool above); distinct instances are independent.
-  mutable std::vector<std::unique_ptr<Warm>> warm_;
-  // Null handles when options_.registry is null (all ops no-op).
+  obs::Registry* registry_;
   obs::Counter solves_;
   obs::Counter layers_;
   obs::Counter cells_;
-  obs::Counter pruned_;
-  obs::Counter rechecks_;
-  obs::Counter warm_hits_;
-  obs::Counter warm_exts_;
-  obs::Counter warm_misses_;
-  obs::Counter kernel_cells_;
-  obs::Counter kernel_cands_;
 };
 
 }  // namespace shuffledef::core

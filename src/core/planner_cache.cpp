@@ -18,7 +18,6 @@ std::size_t PlannerCache::KeyHash::operator()(
   hash_mix(seed, std::hash<Count>{}(k.problem.clients));
   hash_mix(seed, std::hash<Count>{}(k.problem.bots));
   hash_mix(seed, std::hash<Count>{}(k.problem.replicas));
-  hash_mix(seed, std::hash<std::uint64_t>{}(k.options_fingerprint));
   return seed;
 }
 
@@ -28,26 +27,11 @@ PlannerCache::PlannerCache(std::size_t capacity) : capacity_(capacity) {
   }
 }
 
-PlannerCache::Entry& PlannerCache::touch(const PlannerCacheKey& key) {
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    entries_.splice(entries_.begin(), entries_, it->second);
-    return *it->second;
-  }
-  if (entries_.size() >= capacity_) {
-    index_.erase(entries_.back().key);
-    entries_.pop_back();
-  }
-  entries_.push_front(Entry{key, std::nullopt, std::nullopt});
-  index_[key] = entries_.begin();
-  return entries_.front();
-}
-
 std::optional<AssignmentPlan> PlannerCache::get_plan(
     const PlannerCacheKey& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
-  if (it == index_.end() || !it->second->plan.has_value()) {
+  if (it == index_.end()) {
     ++misses_;
     return std::nullopt;
   }
@@ -56,26 +40,20 @@ std::optional<AssignmentPlan> PlannerCache::get_plan(
   return it->second->plan;
 }
 
-std::optional<double> PlannerCache::get_value(const PlannerCacheKey& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end() || !it->second->value.has_value()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  ++hits_;
-  entries_.splice(entries_.begin(), entries_, it->second);
-  return it->second->value;
-}
-
 void PlannerCache::put_plan(const PlannerCacheKey& key, AssignmentPlan plan) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  touch(key).plan = std::move(plan);
-}
-
-void PlannerCache::put_value(const PlannerCacheKey& key, double value) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  touch(key).value = value;
+  const auto it = index_.find(key);
+  if (it != index_.end()) {
+    entries_.splice(entries_.begin(), entries_, it->second);
+    it->second->plan = std::move(plan);
+    return;
+  }
+  if (entries_.size() >= capacity_) {
+    index_.erase(entries_.back().key);
+    entries_.pop_back();
+  }
+  entries_.push_front(Entry{key, std::move(plan)});
+  index_[key] = entries_.begin();
 }
 
 std::size_t PlannerCache::size() const {

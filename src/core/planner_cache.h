@@ -1,16 +1,15 @@
 // LRU memoization of planner results.
 //
 // Every planner in this library is a deterministic pure function of
-// (planner kind, options, ShuffleProblem), and the shuffle loop re-solves
+// (planner kind, ShuffleProblem), and the shuffle loop re-solves
 // near-identical problems round after round: an all-attacked round leaves
 // the pool unchanged, repeated experiment sweeps revisit the same grid
 // points, and the controller's adaptive P quantizes many distinct pools
 // onto the same (N, M, P) triple.  A small LRU over exact keys therefore
 // captures most of the repeat work without any approximation.
 //
-// The cache stores the extracted AssignmentPlan and, independently, the
-// planner's scalar value (planners expose one or both).  Lookups are
-// guarded by a mutex so a cache may be shared across threads.
+// The cache stores the extracted AssignmentPlan.  Lookups are guarded by a
+// mutex so a cache may be shared across threads.
 #pragma once
 
 #include <cstdint>
@@ -29,9 +28,6 @@ namespace shuffledef::core {
 struct PlannerCacheKey {
   std::string planner;     // Planner::name()
   ShuffleProblem problem;  // (N, M, P)
-  /// Disambiguates planners of the same kind constructed with different
-  /// options (tail_epsilon, a_cap, ...).  0 for default-constructed options.
-  std::uint64_t options_fingerprint = 0;
 
   friend bool operator==(const PlannerCacheKey&,
                          const PlannerCacheKey&) = default;
@@ -43,9 +39,7 @@ class PlannerCache {
 
   [[nodiscard]] std::optional<AssignmentPlan> get_plan(
       const PlannerCacheKey& key);
-  [[nodiscard]] std::optional<double> get_value(const PlannerCacheKey& key);
   void put_plan(const PlannerCacheKey& key, AssignmentPlan plan);
-  void put_value(const PlannerCacheKey& key, double value);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const;
@@ -57,16 +51,11 @@ class PlannerCache {
  private:
   struct Entry {
     PlannerCacheKey key;
-    std::optional<AssignmentPlan> plan;
-    std::optional<double> value;
+    AssignmentPlan plan;
   };
   struct KeyHash {
     std::size_t operator()(const PlannerCacheKey& k) const noexcept;
   };
-
-  // Returns the entry for `key`, creating (and possibly evicting) as needed;
-  // the entry is moved to the front of the LRU list.  Caller holds mutex_.
-  Entry& touch(const PlannerCacheKey& key);
 
   mutable std::mutex mutex_;
   std::size_t capacity_;

@@ -14,13 +14,9 @@ namespace shuffledef::core {
 std::vector<std::string> ControllerConfig::violations(
     const std::string& prefix) const {
   std::vector<std::string> out;
-  if (planner != "even" && planner != "greedy" && planner != "dp" &&
-      planner != "algorithm1") {
+  if (planner != "even" && planner != "greedy" && planner != "dp") {
     out.push_back(prefix + "unknown planner '" + planner +
-                  "' (expected even|greedy|dp|algorithm1)");
-  }
-  if (planner_threads < 0) {
-    out.push_back(prefix + "planner_threads must be >= 0");
+                  "' (expected even|greedy|dp)");
   }
   if (replicas < 0) {
     out.push_back(prefix + "replicas must be >= 0 (0 = adaptive)");
@@ -67,9 +63,7 @@ void ControllerConfig::validate() const {
 ShuffleController::ShuffleController(ControllerConfig config)
     : config_(std::move(config)) {
   config_.validate();
-  planner_ = make_planner(config_.planner,
-                          PlannerOptions{.threads = config_.planner_threads,
-                                         .registry = config_.registry});
+  planner_ = make_planner(config_.planner);
   if (config_.estimator == "mle") {
     MleOptions mle = config_.mle;
     mle.registry = config_.registry;
@@ -133,10 +127,7 @@ RoundDecision ShuffleController::decide(
       .clients = pool_clients, .bots = m_hat, .replicas = p};
   const obs::Span plan_span(config_.registry, "plan");
   if (cache_) {
-    // The fingerprint keeps differently-configured planners of the same
-    // kind (e.g. exact vs tail-truncated algorithm1) from sharing entries.
-    const PlannerCacheKey key{planner_->name(), problem,
-                              planner_->options_fingerprint()};
+    const PlannerCacheKey key{planner_->name(), problem};
     if (auto cached = cache_->get_plan(key)) {
       cache_hits_.inc();
       decision.plan = std::move(*cached);

@@ -42,11 +42,8 @@ inline constexpr std::string_view kMetricControllerShufflesDeclined =
     "controller.shuffles_declined";
 
 struct ControllerConfig {
+  /// "even", "greedy" or "dp" (see make_planner).
   std::string planner = "greedy";
-  /// Worker threads for planners with a parallel solve ("algorithm1"):
-  /// 1 = serial, 0 = shared pool, k > 1 = private pool.  Results are
-  /// bit-identical at any setting (tests/cloudsim/fault_determinism_test).
-  Count planner_threads = 0;
   /// Fixed shuffling-replica count; 0 = adapt P per Theorem 1.
   Count replicas = 0;
   /// Lower bound on adaptive P.
@@ -82,7 +79,7 @@ struct ControllerConfig {
   CostRates cost_rates;
   /// Bytes a migrated client re-fetches after a shuffle (egress churn).
   std::int64_t migration_page_bytes = 64 * 1024;
-  /// Observability sink for the controller, its planner and its estimator
+  /// Observability sink for the controller and its estimator
   /// (nullptr = uninstrumented).  Counters kMetricControllerDecisions,
   /// kMetricPlannerCache{Hits,Misses} and kMetricControllerShufflesDeclined;
   /// spans "controller.decide" with children "estimate" and "plan".

@@ -70,8 +70,8 @@ struct ClientSimConfig {
   Count rounds = 100;
   std::uint64_t seed = 1;
   /// Worker threads for the sharded round sweeps: 1 = serial, 0 = shared
-  /// pool, k > 1 = a private pool of k threads (the AlgorithmOneOptions
-  /// convention).  Results are bit-identical at every setting.
+  /// pool, k > 1 = a private pool of k threads.  Results are bit-identical
+  /// at every setting.
   Count threads = 0;
   /// Verify the conservation invariant at the end of every round: every
   /// client id is in exactly one of {pool, saved group, away}, and the
@@ -146,8 +146,7 @@ class ClientLevelSimulator {
 
   ClientSimConfig config_;
   // Lazily built private pool when config_.threads > 1 (run() is logically
-  // const on the configuration; the pool is an execution resource, as in
-  // AlgorithmOnePlanner).
+  // const on the configuration; the pool is an execution resource).
   mutable std::unique_ptr<util::ThreadPool> private_pool_;
 };
 

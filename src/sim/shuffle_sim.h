@@ -19,7 +19,7 @@
 // one by default, or an externally scoped one via ShuffleSimConfig::registry
 // — and the result carries the final MetricsSnapshot.  Snapshots of a fixed
 // seed are deterministic (bit-identical in deterministic_view()) across
-// runs and across planner_threads settings.
+// runs.
 #pragma once
 
 #include <cstdint>

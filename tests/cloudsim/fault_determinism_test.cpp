@@ -2,7 +2,7 @@
 //
 // The whole point of seeded fault injection is replayability: a failure
 // found at seed S must reproduce bit-identically at seed S, no matter how
-// often it is rerun or how many worker threads the planner uses.  These
+// often it is rerun or how many shard threads the world uses.  These
 // tests compare full network event traces — every delivery, drop, and
 // duplicate with its timestamp — not just aggregate counters.
 #include <gtest/gtest.h>
@@ -62,24 +62,6 @@ TEST(FaultDeterminism, SameSeedReplaysBitIdentically) {
   EXPECT_GT(a.fault_stats().drops_ctrl + a.fault_stats().drops_data, 0u);
   EXPECT_EQ(a.fault_stats().crashes_executed, 1u);
   expect_identical(a, b);
-}
-
-TEST(FaultDeterminism, PlannerThreadCountDoesNotPerturbTheWorld) {
-  // The parallel Algorithm-1 layer sweep is bit-identical at any thread
-  // count, so the simulated world — faults included — must be too.
-  auto cfg = faulted_config();
-  cfg.coordinator.controller.planner = "algorithm1";
-
-  cfg.coordinator.controller.planner_threads = 1;  // serial
-  Scenario serial(cfg);
-  ASSERT_TRUE(serial.run_until(20.0));
-
-  cfg.coordinator.controller.planner_threads = 4;  // private pool
-  Scenario pooled(cfg);
-  ASSERT_TRUE(pooled.run_until(20.0));
-
-  EXPECT_GT(serial.coordinator()->stats().rounds_executed, 0);
-  expect_identical(serial, pooled);
 }
 
 ScenarioConfig faulted_qos_config(ClientEngine engine) {

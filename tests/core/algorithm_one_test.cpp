@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/greedy_planner.h"
 #include "core/separable_dp.h"
 
@@ -30,6 +32,11 @@ TEST(AlgorithmOne, HandComputedThreeSingletons) {
 struct Case {
   Count n, m, p;
 };
+
+// Names each instantiated case after its contents instead of its raw bytes.
+std::ostream& operator<<(std::ostream& os, const Case& c) {
+  return os << "N=" << c.n << " M=" << c.m << " P=" << c.p;
+}
 
 class AlgorithmOneVsSeparable : public ::testing::TestWithParam<Case> {};
 
@@ -69,33 +76,6 @@ TEST(AlgorithmOne, ExtractedPlanIsValidAndGood) {
   EXPECT_GE(e, 0.95 * SeparableDpPlanner().value(problem));
 }
 
-TEST(AlgorithmOne, TailTruncationPreservesExactness) {
-  AlgorithmOneOptions fast;
-  fast.tail_epsilon = 1e-12;
-  for (const auto& c : {Case{20, 5, 4}, Case{30, 12, 6}, Case{25, 20, 5}}) {
-    const ShuffleProblem problem{c.n, c.m, c.p};
-    EXPECT_NEAR(AlgorithmOnePlanner(fast).value(problem),
-                AlgorithmOnePlanner().value(problem), 1e-6)
-        << c.n << " " << c.m << " " << c.p;
-  }
-}
-
-TEST(AlgorithmOne, ACapIsAValidLowerBoundHeuristic) {
-  // Capping the search over a restricts the recurrence to smaller buckets,
-  // so the value can only drop — and with a cap comfortably above omega it
-  // stays within a few percent (the big-dump choices it forbids at interior
-  // levels are available at the base level).
-  AlgorithmOneOptions capped;
-  capped.a_cap = 8;
-  for (const auto& c : {Case{30, 6, 5}, Case{40, 10, 8}}) {
-    const ShuffleProblem problem{c.n, c.m, c.p};
-    const double exact = AlgorithmOnePlanner().value(problem);
-    const double fast = AlgorithmOnePlanner(capped).value(problem);
-    EXPECT_LE(fast, exact + 1e-9);
-    EXPECT_GE(fast, 0.90 * exact);
-  }
-}
-
 TEST(AlgorithmOne, ValueBeatsGreedy) {
   for (const auto& c : {Case{30, 6, 5}, Case{50, 20, 10}, Case{40, 8, 8}}) {
     const ShuffleProblem problem{c.n, c.m, c.p};
@@ -106,9 +86,18 @@ TEST(AlgorithmOne, ValueBeatsGreedy) {
 }
 
 TEST(AlgorithmOne, MemoryGuardThrows) {
-  AlgorithmOneOptions tiny;
-  tiny.memory_limit_bytes = 1024;
-  EXPECT_THROW((void)AlgorithmOnePlanner(tiny).value({500, 100, 20}),
+  // Two value layers of (N + 1) * (M + 1) doubles come to about 29 GB here,
+  // far past the fixed guard: the solve must refuse before allocating.
+  const ShuffleProblem problem{60000, 30000, 20};
+  const std::size_t layer = std::size_t{60001} * std::size_t{30001};
+  ASSERT_GT(2 * layer * sizeof(double), AlgorithmOnePlanner::kMemoryLimitBytes);
+  EXPECT_THROW((void)AlgorithmOnePlanner().value(problem),
+               std::invalid_argument);
+  EXPECT_THROW((void)AlgorithmOnePlanner().plan(problem),
+               std::invalid_argument);
+  // Past the N guard the tabular DP is refused outright.
+  EXPECT_THROW((void)AlgorithmOnePlanner().value(
+                   {AlgorithmOnePlanner::kMaxClients + 1, 1, 2}),
                std::invalid_argument);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "util/random.h"
 
 namespace shuffledef::core {
@@ -88,6 +90,17 @@ struct EvalCase {
   Count n, m;
   std::vector<Count> sizes;
 };
+
+// Names each instantiated case after its contents; without it gtest prints
+// the raw bytes, which include the vector's heap address and so change from
+// run to run.
+std::ostream& operator<<(std::ostream& os, const EvalCase& c) {
+  os << "N=" << c.n << " M=" << c.m << " sizes=";
+  for (std::size_t i = 0; i < c.sizes.size(); ++i) {
+    os << (i == 0 ? "" : ",") << c.sizes[i];
+  }
+  return os;
+}
 
 class ExpectedSavedBruteForce : public ::testing::TestWithParam<EvalCase> {};
 

@@ -18,6 +18,9 @@ TEST(ControllerConfig, Validation) {
   ControllerConfig bad3;
   bad3.planner = "bogus";
   EXPECT_THROW(ShuffleController{bad3}, std::invalid_argument);
+  ControllerConfig bad4;
+  bad4.planner = "algorithm1";  // an adaptive bound, not a runnable planner
+  EXPECT_THROW(ShuffleController{bad4}, std::invalid_argument);
 }
 
 TEST(ControllerConfig, ValidateReportsAllViolationsAtOnce) {
@@ -27,7 +30,7 @@ TEST(ControllerConfig, ValidateReportsAllViolationsAtOnce) {
 
   ControllerConfig bad;
   bad.planner = "bogus";
-  bad.planner_threads = -1;
+  bad.migration_cost_weight = -1.0;
   bad.min_replicas = 1;  // P < 2 cannot shuffle
   bad.provisioning_headroom = 0.5;
   bad.estimator = "psychic";
@@ -44,7 +47,7 @@ TEST(ControllerConfig, ValidateReportsAllViolationsAtOnce) {
     const std::string what = e.what();
     EXPECT_NE(what.find("7 violation(s)"), std::string::npos) << what;
     EXPECT_NE(what.find("min_replicas"), std::string::npos);
-    EXPECT_NE(what.find("planner_threads"), std::string::npos);
+    EXPECT_NE(what.find("migration_cost_weight"), std::string::npos);
   }
 }
 
@@ -125,52 +128,6 @@ TEST(ShuffleController, NegativePoolRejected) {
   config.replicas = 2;
   ShuffleController controller(config);
   EXPECT_THROW(controller.decide(-1, std::nullopt), std::invalid_argument);
-}
-
-TEST(ShuffleController, CacheKeysIncludeOptionsFingerprint) {
-  // Two caches, two controllers whose algorithm1 planners differ only in a
-  // value-affecting option: decide() must key its planner cache on the
-  // options fingerprint so the two configurations can never alias (a plan
-  // computed under tail truncation is not a valid cache entry for the
-  // exact planner, even at the same (N, M, P)).
-  PlannerCacheKey exact{"algorithm1", ShuffleProblem{100, 5, 4}, 0};
-  PlannerCacheKey truncated = exact;
-  truncated.options_fingerprint = 1;
-  PlannerCache cache(8);
-  cache.put_plan(exact, AssignmentPlan(std::vector<Count>{25, 25, 25, 25}));
-  EXPECT_TRUE(cache.get_plan(exact).has_value());
-  EXPECT_FALSE(cache.get_plan(truncated).has_value());
-
-  ControllerConfig config;
-  config.planner = "algorithm1";
-  config.replicas = 4;
-  config.use_mle = false;
-  ShuffleController controller(config);
-  controller.set_bot_estimate(5);
-  const auto first = controller.decide(100, std::nullopt);
-  const auto second = controller.decide(100, std::nullopt);
-  EXPECT_EQ(first.plan.counts(), second.plan.counts());
-  ASSERT_NE(controller.planner_cache(), nullptr);
-  EXPECT_EQ(controller.planner_cache()->hits(), 1u);
-}
-
-TEST(ShuffleController, Algorithm1WarmStartAcrossRounds) {
-  // The controller owns one planner instance for its lifetime, so the
-  // planner's warm-start tables persist across decide() calls: a shrinking
-  // pool round reuses the previous round's DP stack.
-  obs::Registry reg;
-  ControllerConfig config;
-  config.planner = "algorithm1";
-  config.replicas = 4;
-  config.use_mle = false;
-  config.planner_cache_capacity = 0;  // isolate the planner-level reuse
-  config.registry = &reg;
-  ShuffleController controller(config);
-  controller.set_bot_estimate(6);
-  (void)controller.decide(150, std::nullopt);
-  (void)controller.decide(140, std::nullopt);
-  const auto snap = reg.snapshot();
-  EXPECT_GE(snap.counter("planner.algorithm1.warm_hits"), 1u);
 }
 
 TEST(ShuffleController, ZeroPoolYieldsEmptyPlan) {
