@@ -45,8 +45,10 @@ BENCHMARK(BM_SeparableDpValue)->Arg(200)->Arg(500)->Arg(1000);
 
 // Exact re-planning at campaign scale: the dp planner's plan() at
 // N = 10^4 for the bot counts that bracket its pruning — M = 1 (concave,
-// flat-topped candidates, the least pruned), M = 3, and M = 1000 (the
-// candidate peak is sharp, the most pruned).
+// flat-topped candidates), M = 3, and M = 1000 (the candidate peak is
+// sharp) — and at a pool size P does not divide, as the campaigns' pools
+// shrink: M = 3 < P (solved top-down, buckets of two sizes), M = 38 and
+// M = 200 >= P (solved bottom-up).
 void BM_SeparableDpPlan(benchmark::State& state) {
   const core::ShuffleProblem problem{state.range(0), state.range(2),
                                      state.range(1)};
@@ -58,6 +60,7 @@ void BM_SeparableDpPlan(benchmark::State& state) {
 BENCHMARK(BM_SeparableDpPlan)
     ->ArgNames({"N", "P", "M"})
     ->ArgsProduct({{10000}, {10, 20}, {1, 3, 1000}})
+    ->ArgsProduct({{9833}, {20}, {3, 38, 200}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ControllerDecide(benchmark::State& state) {
